@@ -15,6 +15,7 @@ are byte-identical on the data channel.
 """
 
 import argparse
+import resource
 import sys
 import time
 from typing import Sequence
@@ -166,20 +167,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
     started = time.perf_counter()
+    graph = load_graph(args.graph)
+    loaded = time.perf_counter()
     scores = _compute_scores(graph, args.method, args)
-    elapsed = time.perf_counter() - started
+    scored = time.perf_counter()
     out, close = _open_output(args.output)
     try:
         scores.write(out)
     finally:
         if close:
             out.close()
+    written = time.perf_counter()
+    # ru_maxrss is in kilobytes on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"method={scores.method} iterations={scores.iterations_run} "
         f"converged={str(scores.converged).lower()} "
-        f"pairs={scores.pair_count} wall={elapsed:.2f}s",
+        f"pairs={scores.pair_count} load={loaded - started:.2f}s "
+        f"score={scored - loaded:.2f}s write={written - scored:.2f}s "
+        f"wall={written - started:.2f}s peak_rss_mb={peak_mb:.0f}",
         file=sys.stderr,
     )
     return 0

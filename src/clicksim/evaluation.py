@@ -102,7 +102,8 @@ def select_triples(
 
     Each triple uses a distinct q1.  Candidates q2/q3 are drawn uniformly
     from the queries sharing at least one ad with q1 and redrawn (up to a
-    fixed cap per q1) until both stay reachable from q1 after removal.
+    fixed cap of draws per q1) until both stay reachable from q1 after
+    removal; each unordered pair is tested at most once per q1.
     Raises if the graph cannot supply ``n`` triples, reporting how many
     it found.
     """
@@ -124,8 +125,15 @@ def select_triples(
         if len(sharers) < 2:
             continue
         pool = sorted(sharers)
+        # whether a pair survives removal does not depend on its order or
+        # on the draw, so a rejected pair is skipped when drawn again; the
+        # draw itself still happens, keeping the random stream unchanged
+        rejected: set[tuple[int, int]] = set()
         for _ in range(_REJECTION_CAP):
             i2, i3 = rng.sample(pool, 2)
+            pair = (min(i2, i3), max(i2, i3))
+            if pair in rejected:
+                continue
             q2 = NodeId(NodeKind.QUERY, i2)
             q3 = NodeId(NodeKind.QUERY, i3)
             removed = _removed_edge_set(graph, q1, q2, q3)
@@ -137,6 +145,7 @@ def select_triples(
                     )
                 )
                 break
+            rejected.add(pair)
     if len(triples) < n:
         raise ValueError(
             f"graph yielded only {len(triples)} valid triples of the "

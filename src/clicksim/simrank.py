@@ -1,18 +1,24 @@
 """Iterative SimRank for bipartite click graphs.
 
-Two mutually recursive fixpoint systems are iterated side by side: query
-pairs average the previous scores of their neighboring ad pairs (decayed
-by ``c1``) and ad pairs average the previous scores of their neighboring
-query pairs (decayed by ``c2``).  Every node is fully similar to itself,
-iteration starts from that identity, and both sides are refreshed each
-round from the previous round's scores only, so the update order within
-a round cannot affect the result.
+Two mutually recursive fixpoint systems define the scores: query pairs
+average the previous scores of their neighboring ad pairs (decayed by
+``c1``) and ad pairs average the previous scores of their neighboring
+query pairs (decayed by ``c2``).  Every node is fully similar to itself
+and iteration starts from that identity.
+
+Only query-side scores are returned, and after ``k`` rounds they depend
+only on the ad scores of round ``k - 1``, which depend only on the query
+scores of round ``k - 2``, and so on.  The engine therefore computes that
+one alternating chain, each step from the previous step alone, and never
+the other chain, whose results nothing reads.  Each step is the same
+sequence of float operations as the matching round of a two-sided
+iteration, so the scores are bit for bit those of refreshing both sides
+every round.
 
 The implementation is sparse end to end: a pair enters the frontier only
-if it had a nonzero score in the previous round or shares at least one
+if it had a nonzero score in the previous step or shares at least one
 neighbor, and scores that fall below ``min_score_threshold`` are dropped
-between rounds.  Query-side scores are returned; ad-side scores are kept
-internal.
+between steps.
 """
 
 import enum
@@ -43,9 +49,14 @@ class SimRankParams:
     """Knobs for the iterative engine.
 
     ``c1`` decays query-side scores and ``c2`` ad-side scores.  Iteration
-    stops after ``max_iterations`` rounds or as soon as the largest
-    absolute score change on either side drops below
-    ``convergence_epsilon``.  Scores below ``min_score_threshold`` are
+    stops after ``max_iterations`` rounds or, on a round that refreshes
+    the query side, as soon as the largest absolute change of the query
+    scores since that side's previous iterate, two rounds back on the
+    chain, drops below ``convergence_epsilon``.  Iterates grow from zero,
+    so the two-round change bounds the one-round change, and a run with
+    ``convergence_epsilon > 0`` can stop later than a test on one round
+    would; with ``convergence_epsilon == 0`` every run does all
+    ``max_iterations`` rounds.  Scores below ``min_score_threshold`` are
     discarded between rounds.
     """
 
@@ -159,9 +170,14 @@ class SimilarityScores:
 
     @classmethod
     def read(cls, path: str | Path, graph: ClickGraph) -> "SimilarityScores":
-        """Load a score dump produced by :meth:`write` against ``graph``."""
+        """Load a score dump produced by :meth:`write` against ``graph``.
+
+        A pair listed twice (in either label order), a query paired with
+        itself and a score that is not finite are errors naming the first
+        offending line, rather than being merged into the table.
+        """
         method = Method.SIMPLE.value
-        rows, cols, vals = [], [], []
+        rows, cols, vals, linenos = [], [], [], []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -176,14 +192,36 @@ class SimilarityScores:
                         f"{path}:{lineno}: expected 3 tab-separated fields"
                     )
                 a, b, score = fields
-                i = graph.query_id(a).index
-                j = graph.query_id(b).index
-                rows += [i, j]
-                cols += [j, i]
-                vals += [float(score)] * 2
+                rows.append(graph.query_id(a).index)
+                cols.append(graph.query_id(b).index)
+                vals.append(float(score))
+                linenos.append(lineno)
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
+        n = graph.num_queries
+        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        order = np.argsort(keys, kind="stable")
+        repeated = np.zeros(keys.size, dtype=bool)
+        repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        faults = [
+            (int(np.argmax(bad)), what)
+            for bad, what in (
+                (rows == cols, "query paired with itself"),
+                (~np.isfinite(vals), "score is not finite"),
+                (repeated, "pair listed twice"),
+            )
+            if bad.any()
+        ]
+        if faults:
+            first, what = min(faults)
+            raise ValueError(f"{path}:{linenos[first]}: {what}")
         matrix = sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(graph.num_queries, graph.num_queries),
+            (
+                np.concatenate((vals, vals)),
+                (np.concatenate((rows, cols)), np.concatenate((cols, rows))),
+            ),
+            shape=(n, n),
         )
         return cls(
             query_labels=graph.query_labels,
@@ -252,31 +290,40 @@ def _cleanup(mat: sparse.csr_matrix, threshold: float) -> sparse.csr_matrix:
     matrix never has to exist at once; halving and doubling are exact in
     binary floating point, so filtering the unscaled sums against twice
     the threshold keeps exactly the entries a global pass would keep.
+
+    Products come out with unsorted rows.  Converting to the transpose
+    and back sorts them in linear time (it is a counting sort, cheaper
+    than sorting each row); with sorted rows each block sum is canonical,
+    so the kept entries are already in CSR order and the result is
+    assembled straight from them.
     """
     shape = mat.shape
     transpose = mat.T.tocsr()
-    rows_kept, cols_kept, data_kept = [], [], []
+    mat = transpose.T.tocsr()
+    data_kept, indices_kept, counts = [], [], []
     for lo in range(0, shape[0], _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, shape[0])
-        part = (mat[lo:hi] + transpose[lo:hi]).tocoo()
-        row = part.row + lo
+        part = mat[lo:hi] + transpose[lo:hi]
+        row = np.repeat(np.arange(hi - lo), np.diff(part.indptr))
         keep = (
-            (row != part.col)
+            (row + lo != part.indices)
             & (part.data >= 2.0 * threshold)
             & (part.data > 0.0)
         )
-        rows_kept.append(row[keep])
-        cols_kept.append(part.col[keep])
         data_kept.append(part.data[keep] * 0.5)
+        indices_kept.append(part.indices[keep])
+        counts.append(np.bincount(row[keep], minlength=hi - lo))
     del mat, transpose
-    out = sparse.csr_matrix(
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return sparse.csr_matrix(
         (
             np.minimum(np.concatenate(data_kept), 1.0),
-            (np.concatenate(rows_kept), np.concatenate(cols_kept)),
+            np.concatenate(indices_kept),
+            indptr,
         ),
         shape=shape,
     )
-    return out
 
 
 def _max_abs_diff(a: sparse.csr_matrix, b: sparse.csr_matrix) -> float:
@@ -289,44 +336,53 @@ def _iterate(
     trans_a: sparse.csr_matrix,
     params: SimRankParams,
     threads: int,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix, int, bool]:
-    """Run the double-sided fixpoint iteration.
+) -> tuple[sparse.csr_matrix, int, bool]:
+    """Run the alternating chain that ends at the query scores.
 
     ``trans_q`` maps queries to ads and ``trans_a`` ads to queries; rows
     hold the averaging weights each pair update applies to its neighbor
-    pairs.  Returns query scores, ad scores, rounds run and whether the
-    convergence test fired.
+    pairs.  After ``k`` rounds the query scores read only the ad scores
+    of round ``k - 1``, which read only the query scores of round
+    ``k - 2``, and so on, so step ``r`` of ``k`` refreshes the query side
+    when ``k - r`` is even and the ad side otherwise, each from the
+    previous step alone.  Returns query scores, rounds run and whether
+    the convergence test fired.
     """
     nq, na = trans_q.shape
-    tq_t = trans_q.T.tocsr()
-    ta_t = trans_a.T.tocsr()
-    eye_q = sparse.identity(nq, format="csr")
-    eye_a = sparse.identity(na, format="csr")
+    k = params.max_iterations
+    query_step = (trans_q, trans_q.T.tocsr(), params.c1)
+    ad_step = (trans_a, trans_a.T.tocsr(), params.c2)
+    track = params.convergence_epsilon > 0.0
+    margin = params.min_score_threshold * 0.5
 
-    s_q = sparse.csr_matrix((nq, nq))
-    s_a = sparse.csr_matrix((na, na))
+    # ``current`` is the previous step's iterate (the other side's zero
+    # start before step 1); ``older`` the same side's iterate two steps
+    # back, which only the convergence test reads
+    zero_q = sparse.csr_matrix((nq, nq))
+    zero_a = sparse.csr_matrix((na, na))
+    current, older = (zero_a, zero_q) if k % 2 else (zero_q, zero_a)
     iterations = 0
     converged = False
-
-    margin = params.min_score_threshold * 0.5
-    for iterations in range(1, params.max_iterations + 1):
-        # one raw product lives at a time; both sides still read only the
-        # previous round's scores
-        new_q = _cleanup(
-            _blocked_product(trans_q, s_a + eye_a, tq_t, threads, params.c1, margin),
+    for iterations in range(1, k + 1):
+        on_query = (k - iterations) % 2 == 0
+        trans, trans_t, decay = query_step if on_query else ad_step
+        eye = sparse.identity(current.shape[0], format="csr")
+        new = _cleanup(
+            _blocked_product(trans, current + eye, trans_t, threads, decay, margin),
             params.min_score_threshold,
         )
-        new_a = _cleanup(
-            _blocked_product(trans_a, s_q + eye_q, ta_t, threads, params.c2, margin),
-            params.min_score_threshold,
+        converged = (
+            track
+            and on_query
+            and _max_abs_diff(new, older) < params.convergence_epsilon
         )
-        delta = max(_max_abs_diff(new_q, s_q), _max_abs_diff(new_a, s_a))
-        s_q, s_a = new_q, new_a
-        if delta < params.convergence_epsilon:
-            converged = True
+        if track:
+            older = current
+        current = new
+        if converged:
             break
 
-    return s_q, s_a, iterations, converged
+    return current, iterations, converged
 
 
 def _row_normalized(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -361,7 +417,7 @@ def simrank(
         raise ValueError("cannot score an empty graph")
     trans_q = _row_normalized(graph.query_adjacency)
     trans_a = _row_normalized(graph.ad_adjacency)
-    s_q, _, iterations, converged = _iterate(trans_q, trans_a, params, threads)
+    s_q, iterations, converged = _iterate(trans_q, trans_a, params, threads)
     return SimilarityScores(
         query_labels=graph.query_labels,
         matrix=s_q,

@@ -160,7 +160,7 @@ def weighted_simrank(
     if graph.num_queries == 0 and graph.num_ads == 0:
         raise ValueError("cannot score an empty graph")
     trans_q, trans_a = _transition_matrices(graph)
-    s_q, _, iterations, converged = _iterate(trans_q, trans_a, params, threads)
+    s_q, iterations, converged = _iterate(trans_q, trans_a, params, threads)
     if apply_evidence_factor:
         s_q = apply_evidence(s_q, graph, kind, params.min_score_threshold)
     return SimilarityScores(

@@ -70,7 +70,10 @@ def test_generate_stdout_keeps_data_channel_clean(tmp_path):
 def test_compute_dump_and_diagnostics(demo_file, tmp_path):
     out = tmp_path / "scores.tsv"
     proc = run_cli("compute", "--graph", demo_file, "-o", out)
-    for key in ("method=simple", "iterations=", "converged=", "pairs=", "wall="):
+    for key in (
+        "method=simple", "iterations=", "converged=", "pairs=",
+        "load=", "score=", "write=", "wall=", "peak_rss_mb=",
+    ):
         assert key in proc.stderr
     assert proc.stdout == ""
     lines = out.read_text().splitlines()

@@ -1,7 +1,11 @@
 """Desirability scoring, the edge-removal experiment, and judgment metrics."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
+from clicksim import evaluation
 from clicksim.evaluation import (
     DesirabilityTriple,
     JudgmentSet,
@@ -10,7 +14,7 @@ from clicksim.evaluation import (
     precision_recall,
     select_triples,
 )
-from clicksim.graph import ClickGraph, remove_edges
+from clicksim.graph import ClickGraph, generate_synthetic, remove_edges
 from clicksim.rewrite import RewriteList
 from clicksim.simrank import SimRankParams, simrank
 from clicksim.weighted import weighted_simrank
@@ -106,6 +110,52 @@ def test_select_triples_reports_shortfall(twin_graph, demo):
         select_triples(demo, 1, seed=0)
     with pytest.raises(ValueError, match="at least one"):
         select_triples(twin_graph, 0, seed=0)
+
+
+
+def _sharer_pool_size(graph, q1):
+    sharers = {
+        q.index for ad, _ in graph.neighbors(q1) for q, _ in graph.neighbors(ad)
+    }
+    return len(sharers - {q1.index})
+
+
+def test_select_triples_tests_each_pair_once_per_anchor(monkeypatch):
+    # this graph and seed draw two anchors whose every candidate pair
+    # breaks connectivity; each is tested once, not once per draw
+    graph = generate_synthetic(600, 600, 1800, seed=12)
+    calls = Counter()
+    real = evaluation._still_connected
+
+    def counting(g, removed, source, targets):
+        calls[source] += 1
+        return real(g, removed, source, targets)
+
+    monkeypatch.setattr(evaluation, "_still_connected", counting)
+    triples = select_triples(graph, 4, seed=12)
+    bounds = {q1: comb(_sharer_pool_size(graph, q1), 2) for q1 in calls}
+    for q1, count in calls.items():
+        assert count <= bounds[q1], (q1, count)
+    hopeless = [q1 for q1 in calls if q1 not in {t.q1 for t in triples}]
+    assert len(hopeless) == 2
+    assert all(calls[q1] == bounds[q1] for q1 in hopeless)
+
+
+def test_select_triples_pinned_on_seeded_graph():
+    # the triples that testing every draw selects; skipping repeated
+    # rejected pairs must leave the random stream and so the choice alone
+    graph = generate_synthetic(600, 600, 1800, seed=12)
+    got = [
+        (t.q1.index, t.q2.index, t.q3.index,
+         tuple(ad.index for _, ad in t.removed_edges))
+        for t in select_triples(graph, 4, seed=12)
+    ]
+    assert got == [
+        (0, 97, 40, (0, 212)),
+        (38, 3, 9, (0, 1)),
+        (323, 539, 516, (300, 301)),
+        (302, 324, 499, (300, 305, 307, 317)),
+    ]
 
 
 # -- edge-removal experiment -------------------------------------------------

@@ -7,10 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from clicksim.graph import ClickGraph, ad_node, complete_bipartite, query_node
+from clicksim.evidence import EvidenceKind, apply_evidence
+from clicksim.graph import (
+    ClickGraph,
+    ad_node,
+    complete_bipartite,
+    generate_synthetic,
+    query_node,
+)
 from clicksim.oracles import closed_form_k12, closed_form_k22
-from clicksim.simrank import Method, SimilarityScores, SimRankParams, simrank
+from clicksim.simrank import (
+    Method,
+    SimilarityScores,
+    SimRankParams,
+    _blocked_product,
+    _row_normalized,
+    simrank,
+)
+from clicksim.weighted import _transition_matrices, weighted_simrank
 from conftest import sim_by_label
 
 DECAY_GRID = [0.5, 0.6, 0.8, 1.0]
@@ -172,6 +188,120 @@ def test_convergence_flag_and_iteration_count(demo):
     assert settled.iterations_run < 500
 
 
+def test_converged_run_equals_fixed_run_of_same_length(demo):
+    # the stop is taken on a query step, so a converged run returns the
+    # same iterate a fixed-length run of that many rounds does
+    settled = simrank(
+        demo,
+        SimRankParams(max_iterations=41, convergence_epsilon=1e-9,
+                      min_score_threshold=1e-12),
+    )
+    assert settled.converged
+    assert settled.iterations_run % 2 == 41 % 2
+    fixed = simrank(
+        demo,
+        SimRankParams(max_iterations=settled.iterations_run,
+                      convergence_epsilon=0.0, min_score_threshold=1e-12),
+    )
+    assert not fixed.converged
+    _assert_same_csr(settled.matrix, fixed.matrix)
+
+
+# -- bit identity with a two-sided iteration ---------------------------------
+
+
+def _reference_cleanup(mat, threshold):
+    """Average the triangles, drop the diagonal and prune, through COO."""
+    summed = (mat + mat.T).tocoo()
+    keep = (
+        (summed.row != summed.col)
+        & (summed.data >= 2.0 * threshold)
+        & (summed.data > 0.0)
+    )
+    return sparse.csr_matrix(
+        (
+            np.minimum(summed.data[keep] * 0.5, 1.0),
+            (summed.row[keep], summed.col[keep]),
+        ),
+        shape=mat.shape,
+    )
+
+
+def _two_sided_reference(trans_q, trans_a, params, threads=1):
+    """Refresh both sides every round; the query iterate of each round."""
+    nq, na = trans_q.shape
+    tq_t, ta_t = trans_q.T.tocsr(), trans_a.T.tocsr()
+    eye_q = sparse.identity(nq, format="csr")
+    eye_a = sparse.identity(na, format="csr")
+    s_q = sparse.csr_matrix((nq, nq))
+    s_a = sparse.csr_matrix((na, na))
+    margin = params.min_score_threshold * 0.5
+    iterates = []
+    for _ in range(params.max_iterations):
+        new_q = _reference_cleanup(
+            _blocked_product(trans_q, s_a + eye_a, tq_t, threads, params.c1, margin),
+            params.min_score_threshold,
+        )
+        new_a = _reference_cleanup(
+            _blocked_product(trans_a, s_q + eye_q, ta_t, threads, params.c2, margin),
+            params.min_score_threshold,
+        )
+        s_q, s_a = new_q, new_a
+        iterates.append(s_q)
+    return iterates
+
+
+def _assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def _check_chain_against_reference(graph, max_k, threads=1):
+    params = SimRankParams(max_iterations=max_k, convergence_epsilon=0.0)
+    plain = _two_sided_reference(
+        _row_normalized(graph.query_adjacency),
+        _row_normalized(graph.ad_adjacency),
+        params,
+        threads,
+    )
+    weighted = _two_sided_reference(*_transition_matrices(graph), params, threads)
+    for k in range(1, max_k + 1):
+        fixed = SimRankParams(max_iterations=k, convergence_epsilon=0.0)
+        got = simrank(graph, fixed, threads=threads)
+        assert got.iterations_run == k
+        _assert_same_csr(got.matrix, plain[k - 1])
+        got = weighted_simrank(graph, fixed, threads=threads)
+        assert got.iterations_run == k
+        want = apply_evidence(
+            weighted[k - 1], graph, EvidenceKind.GEOMETRIC,
+            fixed.min_score_threshold,
+        )
+        _assert_same_csr(got.matrix, want)
+
+
+def test_chain_matches_two_sided_iteration_on_demo(demo):
+    _check_chain_against_reference(demo, 6)
+
+
+@pytest.fixture(scope="module")
+def multi_block_graph():
+    # 3000 queries span three 1024-row blocks
+    return generate_synthetic(3000, 3000, 9000, seed=9)
+
+
+def test_chain_matches_two_sided_iteration_across_blocks(multi_block_graph):
+    _check_chain_against_reference(multi_block_graph, 6, threads=2)
+
+
+def test_thread_count_never_changes_multi_block_scores(multi_block_graph):
+    params = SimRankParams(max_iterations=5, convergence_epsilon=0.0)
+    for score in (simrank, weighted_simrank):
+        one = score(multi_block_graph, params, threads=1)
+        two = score(multi_block_graph, params, threads=2)
+        _assert_same_csr(one.matrix, two.matrix)
+
+
 # -- dump format -----------------------------------------------------------
 
 
@@ -217,3 +347,28 @@ def test_non_default_method_announces_itself(demo):
     buf = io.StringIO()
     relabeled.write(buf)
     assert buf.getvalue().startswith("# method=weighted\n")
+
+
+
+@pytest.mark.parametrize(
+    "lines, line_no, message",
+    [
+        (["camera\tpc\t0.5", "pc\ttv\t0.2", "pc\tcamera\t0.4"], 3, "listed twice"),
+        (["camera\tpc\t0.5", "camera\tpc\t0.5"], 2, "listed twice"),
+        (["camera\tpc\t0.5", "tv\ttv\t0.3"], 2, "itself"),
+        (["camera\tpc\tnan"], 1, "not finite"),
+        (["# method=weighted", "camera\tpc\t0.5", "pc\ttv\tinf"], 3, "not finite"),
+    ],
+)
+def test_dump_reader_rejects_bad_pairs(tmp_path, demo, lines, line_no, message):
+    path = tmp_path / "scores.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"scores.tsv:{line_no}: .*{message}"):
+        SimilarityScores.read(path, demo)
+
+
+def test_dump_reader_names_the_earliest_fault(tmp_path, demo):
+    path = tmp_path / "scores.tsv"
+    path.write_text("camera\tpc\t0.5\npc\tcamera\t0.5\ntv\ttv\t0.1\n")
+    with pytest.raises(ValueError, match="scores.tsv:2: pair listed twice"):
+        SimilarityScores.read(path, demo)
