@@ -6,15 +6,22 @@ rewrites that no advertiser bids on are dropped.  Scores of zero or
 below never produce rewrites.
 """
 
+import functools
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .graph import NodeId, NodeKind, canonical_label
-from .simrank import SimilarityScores
+from .simrank import SimilarityScores, printed_score
 
 _DEFAULT_CANDIDATE_CAP = 100
 _DEFAULT_FINAL_CAP = 5
+# Scores that print equal lie less than one printed step (1e-6) apart;
+# two steps leave room for the rounding of the scores themselves.
+_PRINTED_TIE_SPAN = 2e-6
 
 
 def _stem_token(token: str) -> str:
@@ -37,6 +44,8 @@ def _stem_token(token: str) -> str:
     return token
 
 
+# the rewrite lists of one table fold the same labels again and again
+@functools.lru_cache(maxsize=1 << 16)
 def normalize_query(text: str) -> str:
     """Canonical form used to spot duplicate rewrites.
 
@@ -100,11 +109,14 @@ def top_rewrites(
 ) -> RewriteList:
     """Build the rewrite list for ``query`` from a score table.
 
-    Candidates are the positively scored queries, ranked by score with
-    ties broken by label.  The top ``candidate_cap`` go through
-    duplicate folding (one survivor per normalized form, the best-ranked
-    one; forms equal to the query's own are dropped) and optional bid
-    filtering, then the list is cut to ``final_cap``.
+    Candidates are the queries whose score is positive as a dump prints
+    it (see :func:`~clicksim.simrank.printed_score`), ranked by that
+    printed score with ties broken by label, so a table ranks the same
+    before and after a round trip through a dump.  The top
+    ``candidate_cap`` go through duplicate folding (one survivor per
+    normalized form, the best-ranked one; forms equal to the query's
+    own are dropped) and optional bid filtering, then the list is cut to
+    ``final_cap``.  Rewrites carry the table's own scores.
     """
     if query.kind is not NodeKind.QUERY:
         raise ValueError("rewrites are generated for query nodes")
@@ -113,19 +125,24 @@ def top_rewrites(
     label = scores.query_labels[query.index]
 
     indices, values = scores.row(query.index)
-    ranked = sorted(
-        (
-            (scores.query_labels[j], float(v))
-            for j, v in zip(indices, values)
-            if v > 0.0
-        ),
-        key=lambda item: (-item[1], item[0]),
-    )[:candidate_cap]
+    if values.size > candidate_cap:
+        # past the cap-th best score only scores that print equal to it
+        # can still make the cut, on their label
+        cut = np.partition(values, values.size - candidate_cap)[
+            values.size - candidate_cap
+        ]
+        near = values >= cut - _PRINTED_TIE_SPAN
+        indices, values = indices[near], values[near]
+    order = np.argsort(values)[::-1]
+    ranked = _in_printed_order(
+        [scores.query_labels[j] for j in indices[order].tolist()],
+        values[order].tolist(),
+    )
 
     own_form = normalize_query(label)
     seen: set[str] = set()
     kept: list[tuple[str, float]] = []
-    for cand, score in ranked:
+    for cand, score in islice(ranked, candidate_cap):
         form = normalize_query(cand)
         if form == own_form or form in seen:
             continue
@@ -137,6 +154,29 @@ def top_rewrites(
             break
 
     return RewriteList(query=label, rewrites=tuple(kept))
+
+
+def _in_printed_order(
+    labels: list[str], values: list[float]
+) -> Iterator[tuple[str, float]]:
+    """Yield ``(label, score)`` by printed score descending, then label.
+
+    ``values`` is sorted descending.  The printed score never decreases
+    with the score, so equal printed scores form runs; each run is
+    sorted by label when it is reached, and no score past it is
+    formatted.  The first score that prints as zero or below ends the
+    sequence.
+    """
+    start = 0
+    while start < len(values):
+        key = printed_score(values[start])
+        if key <= 0.0:
+            return
+        stop = start + 1
+        while stop < len(values) and printed_score(values[stop]) == key:
+            stop += 1
+        yield from sorted(zip(labels[start:stop], values[start:stop]))
+        start = stop
 
 
 def coverage(lists: Iterable[RewriteList], query_sample: Iterable[str]) -> float:

@@ -25,6 +25,7 @@ import enum
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -34,6 +35,8 @@ from scipy import sparse
 from .graph import ClickGraph, NodeId, NodeKind
 
 _BLOCK_ROWS = 1024
+_READ_CHUNK_LINES = 4096
+_WRITE_CHUNK_PAIRS = 8192
 
 
 class Method(enum.Enum):
@@ -42,6 +45,17 @@ class Method(enum.Enum):
     SIMPLE = "simple"
     EVIDENCE = "evidence"
     WEIGHTED = "weighted"
+
+
+# The range of each method's scores, by the name a dump's ``# method=``
+# line gives; the dump reader rejects a score outside it.
+_SCORE_RANGES = {
+    Method.SIMPLE.value: (0.0, 1.0),
+    Method.EVIDENCE.value: (0.0, 1.0),
+    Method.WEIGHTED.value: (0.0, 1.0),
+    "pearson": (-1.0, 1.0),
+    "common": (0.0, np.inf),
+}
 
 
 @dataclass
@@ -124,9 +138,12 @@ class SimilarityScores:
             yield int(coo.row[e]), int(coo.col[e]), float(coo.data[e])
 
     def row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor indices and scores for one query, unsorted."""
-        row = self.matrix.getrow(index)
-        return row.indices, row.data
+        """Neighbor indices and scores for one query, unsorted.
+
+        Both are views into ``matrix``; callers must not write to them.
+        """
+        lo, hi = self.matrix.indptr[index], self.matrix.indptr[index + 1]
+        return self.matrix.indices[lo:hi], self.matrix.data[lo:hi]
 
     # -- dump format -------------------------------------------------------
 
@@ -135,8 +152,10 @@ class SimilarityScores:
 
         Pairs appear once with the lexicographically smaller label first
         and lines sorted, so equal score tables serialize identically.
-        Methods other than plain SimRank announce themselves in a header
-        comment; degenerate pairs are appended as comment lines.
+        Scores are printed with 6 decimals, as :func:`printed_score`
+        rounds them.  Methods other than plain SimRank announce
+        themselves in a header comment; degenerate pairs are appended as
+        comment lines.
         """
         if isinstance(destination, (str, Path)):
             with open(destination, "w", encoding="utf-8") as fh:
@@ -145,24 +164,33 @@ class SimilarityScores:
         out: io.TextIOBase = destination
         if self.method != Method.SIMPLE.value:
             out.write(f"# method={self.method}\n")
-        labels = np.array(self.query_labels, dtype=object)
         coo = sparse.triu(self.matrix, k=1).tocoo()
         if coo.nnz:
             # sort by integer label ranks, not the labels themselves:
             # same order, and it stays fast at tens of millions of pairs
+            labels = self.query_labels
+            by_rank = sorted(labels)
             rank = np.empty(len(labels), dtype=np.int64)
-            rank[np.argsort(labels)] = np.arange(len(labels))
-            by_rank = np.sort(labels)
+            rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(
+                len(labels)
+            )
             ra, rb = rank[coo.row], rank[coo.col]
             lo = np.minimum(ra, rb)
             hi = np.maximum(ra, rb)
             order = np.lexsort((hi, lo))
             lo, hi, data = lo[order], hi[order], coo.data[order]
-            for start in range(0, lo.size, 65536):
-                stop = min(start + 65536, lo.size)
+            # Python ints and floats, a chunk at a time: formatting numpy
+            # scalars and indexing with them is several times slower, and
+            # converting the whole table at once costs its size in memory
+            for start in range(0, lo.size, _WRITE_CHUNK_PAIRS):
+                stop = start + _WRITE_CHUNK_PAIRS
                 out.writelines(
                     f"{by_rank[l]}\t{by_rank[h]}\t{v:.6f}\n"
-                    for l, h, v in zip(lo[start:stop], hi[start:stop], data[start:stop])
+                    for l, h, v in zip(
+                        lo[start:stop].tolist(),
+                        hi[start:stop].tolist(),
+                        data[start:stop].tolist(),
+                    )
                 )
         for i, j in self.degenerate_pairs:
             a, b = sorted((self.query_labels[i], self.query_labels[j]))
@@ -172,50 +200,55 @@ class SimilarityScores:
     def read(cls, path: str | Path, graph: ClickGraph) -> "SimilarityScores":
         """Load a score dump produced by :meth:`write` against ``graph``.
 
-        A pair listed twice (in either label order), a query paired with
-        itself and a score that is not finite are errors naming the first
-        offending line, rather than being merged into the table.
+        The file is read a chunk of lines at a time into numpy arrays.
+        A line without 3 tab-separated fields, an unknown query label, a
+        score that is not a number, a query paired with itself, a score
+        that is not finite or lies outside the declared method's range,
+        a pair listed twice (in either label order) and a ``# method=``
+        line naming no known method are errors naming the first
+        offending line in the file, rather than being merged into the
+        table.
         """
         method = Method.SIMPLE.value
-        rows, cols, vals, linenos = [], [], [], []
+        parts = []
+        fault = None
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line.startswith("# method="):
-                    method = line.split("=", 1)[1].strip()
-                    continue
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields"
-                    )
-                a, b, score = fields
-                rows.append(graph.query_id(a).index)
-                cols.append(graph.query_id(b).index)
-                vals.append(float(score))
-                linenos.append(lineno)
-        rows = np.array(rows, dtype=np.int64)
-        cols = np.array(cols, dtype=np.int64)
-        vals = np.array(vals, dtype=np.float64)
+            first = 1
+            while fault is None:
+                lines = list(islice(fh, _READ_CHUNK_LINES))
+                part, declared, fault = _parse_dump_chunk(lines, first, graph)
+                parts.append(part)
+                method = declared or method
+                if len(lines) < _READ_CHUNK_LINES:
+                    break
+                first += len(lines)
+        rows, cols, vals, linenos = map(np.concatenate, zip(*parts))
+        del parts
         n = graph.num_queries
-        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
         order = np.argsort(keys, kind="stable")
         repeated = np.zeros(keys.size, dtype=bool)
         repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        faults = [
-            (int(np.argmax(bad)), what)
+        del keys, order
+        low, high = _SCORE_RANGES[method]
+        faults = [fault] if fault is not None else []
+        faults += [
+            (int(linenos[np.argmax(bad)]), what)
             for bad, what in (
                 (rows == cols, "query paired with itself"),
                 (~np.isfinite(vals), "score is not finite"),
+                (
+                    (vals < low) | (vals > high),
+                    f"score outside [{low:g}, {high:g}] for method={method}",
+                ),
                 (repeated, "pair listed twice"),
             )
             if bad.any()
         ]
         if faults:
-            first, what = min(faults)
-            raise ValueError(f"{path}:{linenos[first]}: {what}")
+            lineno, what = min(faults, key=lambda f: f[0])
+            raise ValueError(f"{path}:{lineno}: {what}")
+        del linenos, repeated
         matrix = sparse.csr_matrix(
             (
                 np.concatenate((vals, vals)),
@@ -230,6 +263,91 @@ class SimilarityScores:
             converged=True,
             method=method,
         )
+
+
+def printed_score(score: float) -> float:
+    """``score`` as a dump prints it (6 decimals) and reads it back."""
+    return float(f"{score:.6f}")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_dump_chunk(
+    lines: list[str], first: int, graph: ClickGraph
+) -> tuple[tuple[np.ndarray, ...], str | None, tuple[int, str] | None]:
+    """Parse dump lines numbered from ``first``.
+
+    Returns ``(rows, cols, scores, line numbers)`` of the pairs read,
+    the method the last ``# method=`` line declares (``None`` if there
+    is none) and the chunk's first parse fault as ``(line number,
+    message)``, or ``None``.  Pairs are read up to the first line that
+    cannot be parsed into one; pairs after a fault can only be faulty at
+    later lines, so they never change which fault the caller reports.
+    The checks that need the whole table are left to the caller.
+    """
+    declared = None
+    faults = []
+    data = [
+        i for i, line in enumerate(lines)
+        if not (line.startswith("#") or line.isspace())
+    ]
+    if len(data) < len(lines):
+        for i, line in enumerate(lines):
+            if line.startswith("# method="):
+                name = line.split("=", 1)[1].strip()
+                if name not in _SCORE_RANGES:
+                    faults.append((first + i, f"unknown method {name!r}"))
+                    break
+                declared = name
+        lines = [lines[i] for i in data]
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"  # the last line of a file may lack it
+
+    # One flat list for the whole chunk: a list per line costs far more.
+    # Each line holds one newline, at its end, so every line has 3 fields
+    # exactly when there are 3 per line in all and every third field
+    # carries a newline.
+    count = len(lines)
+    fields = "\t".join(lines).split("\t") if lines else []
+    if len(fields) != 3 * count or "".join(fields[2::3]).count("\n") != count:
+        count = next(k for k, line in enumerate(lines) if line.count("\t") != 2)
+        faults.append((first + data[count], "expected 3 tab-separated fields"))
+        fields = fields[: 3 * count]
+
+    # the index type a CSR matrix of the table will use
+    index_type = np.int32 if graph.num_queries < 2**31 else np.int64
+    columns = []
+    for column in (0, 1):
+        index = np.fromiter(
+            map(graph._q_index.get, fields[column::3], repeat(-1)),
+            index_type,
+            count=count,
+        )
+        # a label not in canonical form is looked up again, canonicalized
+        for k in np.flatnonzero(index < 0).tolist():
+            try:
+                index[k] = graph.query_id(fields[3 * k + column]).index
+            except ValueError as exc:
+                faults.append((first + data[k], str(exc)))
+                break
+        columns.append(index)
+    rows, cols = columns
+    try:
+        vals = np.fromiter(map(float, fields[2::3]), np.float64, count=count)
+    except ValueError:
+        count = next(k for k, text in enumerate(fields[2::3]) if not _is_number(text))
+        faults.append((first + data[count], "score is not a number"))
+        vals = np.fromiter(map(float, fields[2 : 3 * count : 3]), np.float64, count=count)
+
+    linenos = first + np.asarray(data[:count], dtype=np.int64)
+    part = (rows[:count], cols[:count], vals, linenos)
+    return part, declared, min(faults, key=lambda f: f[0]) if faults else None
 
 
 # -- engine core ---------------------------------------------------------

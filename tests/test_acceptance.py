@@ -15,6 +15,8 @@ import itertools
 import time
 from fractions import Fraction
 
+import pytest
+
 from clicksim.baselines import common_ad_count, pearson_scores
 from clicksim.evaluation import desirability_experiment
 from clicksim.evidence import evidence_simrank
@@ -306,6 +308,7 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+@pytest.mark.slow
 def test_criterion_8_large_graph_time_budget(tmp_path):
     gc.collect()
     graph = generate_synthetic(100_000, 100_000, 300_000, seed=42)

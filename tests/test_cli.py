@@ -2,7 +2,7 @@
 
 import pytest
 
-from clicksim.graph import demo_graph, save_graph
+from clicksim.graph import demo_graph, generate_synthetic, save_graph
 from clicksim.rewrite import read_rewrites
 from conftest import planted_skew_graph, run_cli
 
@@ -119,14 +119,22 @@ def test_rewrite_lists_and_depth_summary(demo_file, tmp_path):
     assert "flower" not in lists
 
 
-def test_rewrite_from_saved_scores_matches_direct(demo_file, tmp_path):
-    dump = tmp_path / "scores.tsv"
-    run_cli("compute", "--graph", demo_file, "-o", dump)
-    direct = tmp_path / "direct.tsv"
-    reused = tmp_path / "reused.tsv"
-    run_cli("rewrite", "--graph", demo_file, "-o", direct)
-    run_cli("rewrite", "--graph", demo_file, "--scores", dump, "-o", reused)
-    assert direct.read_bytes() == reused.read_bytes()
+def test_rewrite_from_saved_scores_matches_direct(tmp_path):
+    cases = [
+        (demo_graph(), "simple"),
+        # scores tied at 6 decimals but a few ulps apart in memory
+        (generate_synthetic(300, 300, 900, seed=0), "weighted"),
+    ]
+    for case, (graph, method) in enumerate(cases):
+        graph_file = tmp_path / f"graph{case}.tsv"
+        save_graph(graph, graph_file)
+        dump = tmp_path / f"scores{case}.tsv"
+        run_cli("compute", "--graph", graph_file, "--method", method, "-o", dump)
+        direct = tmp_path / f"direct{case}.tsv"
+        reused = tmp_path / f"reused{case}.tsv"
+        run_cli("rewrite", "--graph", graph_file, "--method", method, "-o", direct)
+        run_cli("rewrite", "--graph", graph_file, "--scores", dump, "-o", reused)
+        assert direct.read_bytes() == reused.read_bytes(), method
 
 
 def test_rewrite_bid_filtering(demo_file, tmp_path):

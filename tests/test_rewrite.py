@@ -1,10 +1,11 @@
 """Rewrite normalization, ranking, filtering, coverage, and persistence."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clicksim.graph import query_node
+from clicksim.graph import generate_synthetic, query_node
 from clicksim.rewrite import (
     BidTermList,
     RewriteList,
@@ -157,6 +158,92 @@ def test_rewrites_are_deterministic(demo):
     a = top_rewrites(scores, demo.query_id("camera"))
     b = top_rewrites(scores, demo.query_id("camera"))
     assert a == b
+
+
+def _reference_rewrites(scores, query, candidate_cap=100, final_cap=5, bids=None):
+    """The ranking rule written out: a full sort of the row on the scores
+    as a dump prints them, then label; the top ``candidate_cap`` folded."""
+
+    def printed(v):
+        return float(f"{v:.6f}")
+
+    label = scores.query_labels[query.index]
+    row = scores.matrix.getrow(query.index)
+    ranked = sorted(
+        (
+            (scores.query_labels[j], float(v))
+            for j, v in zip(row.indices, row.data)
+            if printed(v) > 0.0
+        ),
+        key=lambda item: (-printed(item[1]), item[0]),
+    )[:candidate_cap]
+    own_form = normalize_query(label)
+    seen, kept = set(), []
+    for cand, score in ranked:
+        form = normalize_query(cand)
+        if form == own_form or form in seen:
+            continue
+        seen.add(form)
+        if bids is not None and cand not in bids:
+            continue
+        kept.append((cand, score))
+        if len(kept) == final_cap:
+            break
+    return RewriteList(query=label, rewrites=tuple(kept))
+
+
+@pytest.fixture(scope="module")
+def ranking_tables():
+    """A seeded table whose rows exceed the default candidate cap, the same
+    table on a coarse grid (exact ties at every cut-off), and on a finer
+    grid jittered by less than half a printed step (scores that differ in
+    memory but print equal, and tiny scores that print as zero)."""
+    graph = generate_synthetic(300, 300, 900, seed=0)
+    exact = simrank(graph, SimRankParams(max_iterations=7, convergence_epsilon=0.0))
+    assert (np.diff(exact.matrix.indptr) > 100).sum() > 100
+    rng = np.random.default_rng(5)
+    tables = {"exact": exact}
+    for name, decimals, jitter in (("coarse", 2, 0.0), ("jittered", 3, 4e-7)):
+        matrix = exact.matrix.copy()
+        matrix.data = np.round(matrix.data, decimals) + rng.uniform(
+            -jitter, jitter, matrix.data.size
+        )
+        tables[name] = SimilarityScores(
+            query_labels=exact.query_labels, matrix=matrix,
+            iterations_run=7, converged=False, method="simple",
+        )
+    return tables
+
+
+@pytest.mark.parametrize("table", ["exact", "coarse", "jittered"])
+@pytest.mark.parametrize(
+    "candidate_cap, final_cap", [(1, 1), (2, 5), (3, 2), (10, 5), (100, 5), (500, 500)]
+)
+@pytest.mark.parametrize("with_bids", [False, True])
+def test_ranking_matches_a_full_sort(
+    ranking_tables, table, candidate_cap, final_cap, with_bids
+):
+    scores = ranking_tables[table]
+    bids = None
+    if with_bids:
+        bids = BidTermList(terms=frozenset(scores.query_labels[::3]))
+    for i in range(len(scores.query_labels)):
+        got = top_rewrites(scores, query_node(i), candidate_cap, final_cap, bids)
+        want = _reference_rewrites(scores, query_node(i), candidate_cap, final_cap, bids)
+        assert got == want, i
+
+
+def test_ranking_uses_printed_scores():
+    # b and c print equal, so the label decides, although c is larger in
+    # memory; d prints as zero and is no candidate
+    table = _score_table(
+        ["a", "b", "c", "d"],
+        {("a", "b"): 0.25, ("a", "c"): 0.25 + 1e-9, ("a", "d"): 4e-7},
+    )
+    lst = top_rewrites(table, query_node(0))
+    assert lst.rewrites == (("b", 0.25), ("c", 0.25 + 1e-9))
+    lst = top_rewrites(table, query_node(0), candidate_cap=1)
+    assert lst.rewrites == (("b", 0.25),)
 
 
 def test_coverage_fractions():

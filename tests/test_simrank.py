@@ -1,5 +1,6 @@
 """Iterative engine against the closed forms and its behavioral contract."""
 
+import importlib
 import io
 import itertools
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from clicksim.baselines import pearson_scores
 from clicksim.evidence import EvidenceKind, apply_evidence
 from clicksim.graph import (
     ClickGraph,
@@ -28,6 +30,9 @@ from clicksim.simrank import (
 )
 from clicksim.weighted import _transition_matrices, weighted_simrank
 from conftest import sim_by_label
+
+# the package exports the function ``simrank`` under the module's name
+simrank_module = importlib.import_module("clicksim.simrank")
 
 DECAY_GRID = [0.5, 0.6, 0.8, 1.0]
 
@@ -358,6 +363,17 @@ def test_non_default_method_announces_itself(demo):
         (["camera\tpc\t0.5", "tv\ttv\t0.3"], 2, "itself"),
         (["camera\tpc\tnan"], 1, "not finite"),
         (["# method=weighted", "camera\tpc\t0.5", "pc\ttv\tinf"], 3, "not finite"),
+        (["camera\tpc"], 1, "expected 3 tab-separated fields"),
+        (["camera\tpc\t0.5", "pc\ttv\t0.1\textra"], 2, "expected 3 tab"),
+        (["camera\tpc", "pc\ttv\t0.1\textra"], 1, "expected 3 tab"),
+        (["camera\tpc\t0.5", "pc\tnosuch\t0.1"], 2, "unknown query label"),
+        (["camera\tpc\thalf"], 1, "not a number"),
+        (["camera\tpc\t1.5"], 1, r"outside \[0, 1\] for method=simple"),
+        (["camera\tpc\t0.5", "pc\ttv\t-0.1"], 2, "outside"),
+        (["# method=evidence", "camera\tpc\t1.01"], 2, "outside"),
+        (["# method=pearson", "camera\tpc\t-0.5", "pc\ttv\t-1.5"], 3, "outside"),
+        (["# method=common", "camera\tpc\t3", "pc\ttv\t-1"], 3, "outside"),
+        (["camera\tpc\t0.5", "# method=cosine"], 2, "unknown method 'cosine'"),
     ],
 )
 def test_dump_reader_rejects_bad_pairs(tmp_path, demo, lines, line_no, message):
@@ -372,3 +388,124 @@ def test_dump_reader_names_the_earliest_fault(tmp_path, demo):
     path.write_text("camera\tpc\t0.5\npc\tcamera\t0.5\ntv\ttv\t0.1\n")
     with pytest.raises(ValueError, match="scores.tsv:2: pair listed twice"):
         SimilarityScores.read(path, demo)
+
+
+@pytest.mark.parametrize(
+    "lines, method",
+    [
+        (["# method=pearson", "camera\tpc\t-0.5", "pc\ttv\t1"], "pearson"),
+        (["# method=common", "camera\tpc\t3"], "common"),
+        (["Camera\t  PC \t0.5", "", "  ", "# a comment", "pc\ttv\t0.25"], "simple"),
+    ],
+)
+def test_dump_reader_accepts_each_methods_range(tmp_path, demo, lines, method):
+    path = tmp_path / "scores.tsv"
+    path.write_text("\n".join(lines))  # no newline after the last line
+    table = SimilarityScores.read(path, demo)
+    assert table.method == method
+    assert table.pair_count == len([l for l in lines if l.count("\t") == 2])
+
+
+@pytest.fixture(scope="module")
+def synthetic_300():
+    return generate_synthetic(300, 300, 900, seed=0)
+
+
+def _dump_text(table):
+    buf = io.StringIO()
+    table.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("chunk_lines", [None, 97])
+@pytest.mark.parametrize("score", ["simple", "pearson"])
+def test_multi_chunk_dump_reads_back_the_written_table(
+    tmp_path, monkeypatch, synthetic_300, chunk_lines, score
+):
+    if chunk_lines is not None:
+        monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", chunk_lines)
+    if score == "simple":
+        table = simrank(synthetic_300, SimRankParams(max_iterations=7))
+    else:
+        table = pearson_scores(synthetic_300)
+    path = tmp_path / "scores.tsv"
+    path.write_text(_dump_text(table))
+    lines = path.read_text().splitlines()
+    assert len(lines) > simrank_module._READ_CHUNK_LINES
+    if score == "pearson":
+        assert lines[0] == "# method=pearson" and lines[-1].startswith("# degenerate")
+
+    again = SimilarityScores.read(path, synthetic_300)
+    assert again.method == table.method
+    want = table.matrix.tocsr()
+    want.sort_indices()
+    assert np.array_equal(again.matrix.indptr, want.indptr)
+    assert np.array_equal(again.matrix.indices, want.indices)
+    printed = np.array([float(f"{v:.6f}") for v in want.data.tolist()])
+    assert np.array_equal(again.matrix.data, printed)
+
+
+def _valid_dump_lines(graph, count):
+    table = simrank(graph, SimRankParams(max_iterations=7))
+    return _dump_text(table).splitlines()[:count]
+
+
+# each corruption of line ``at`` (1-based) and the fault it must report;
+# ``lines[1]`` is the pair the duplicate repeats, in swapped order
+CORRUPTIONS = {
+    "malformed": (lambda lines, at: "\t".join(lines[at - 1].split("\t")[:2]),
+                  "expected 3 tab-separated fields"),
+    "unknown label": (lambda lines, at: "no such query\t" + lines[at - 1].split("\t", 1)[1],
+                      "unknown query label"),
+    "score not a number": (lambda lines, at: lines[at - 1].rsplit("\t", 1)[0] + "\tn/a",
+                           "not a number"),
+    "self pair": (lambda lines, at: "{0}\t{0}\t0.5".format(lines[at - 1].split("\t")[0]),
+                  "itself"),
+    "not finite": (lambda lines, at: lines[at - 1].rsplit("\t", 1)[0] + "\tinf",
+                   "not finite"),
+    "out of range": (lambda lines, at: lines[at - 1].rsplit("\t", 1)[0] + "\t1.000001",
+                     "outside"),
+    "duplicate": (lambda lines, at: "{1}\t{0}\t{2}".format(*lines[1].split("\t")),
+                  "listed twice"),
+}
+
+
+@pytest.mark.parametrize("at", [15, 18, 21, 22])
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_dump_reader_fault_in_a_later_chunk(tmp_path, monkeypatch, synthetic_300, kind, at):
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", 7)
+    lines = _valid_dump_lines(synthetic_300, 40)
+    corrupt, message = CORRUPTIONS[kind]
+    lines[at - 1] = corrupt(lines, at)
+    path = tmp_path / "scores.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"scores.tsv:{at}: .*{message}"):
+        SimilarityScores.read(path, synthetic_300)
+
+
+@pytest.mark.parametrize("second", [16, 19, 30])
+@pytest.mark.parametrize(
+    "earlier, later",
+    [
+        ("unknown label", "malformed"),
+        ("malformed", "unknown label"),
+        ("score not a number", "unknown label"),
+        ("self pair", "malformed"),
+        ("duplicate", "malformed"),
+        ("out of range", "score not a number"),
+    ],
+)
+def test_dump_reader_reports_the_earlier_of_two_faults(
+    tmp_path, monkeypatch, synthetic_300, earlier, later, second
+):
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", 7)
+    lines = _valid_dump_lines(synthetic_300, 40)
+    first = 15
+    corrupt, message = CORRUPTIONS[earlier]
+    lines[first - 1] = corrupt(lines, first)
+    corrupt_later, _ = CORRUPTIONS[later]
+    lines[second - 1] = corrupt_later(lines, second)
+    path = tmp_path / "scores.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"scores.tsv:{first}: .*{message}"):
+        SimilarityScores.read(path, synthetic_300)
