@@ -152,18 +152,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
         powerlaw_exponent=args.exponent,
         seed=args.seed,
     )
+    generated = time.perf_counter()
     out, close = _open_output(args.output)
     try:
         save_graph(graph, out)
     finally:
         if close:
             out.close()
+    written = time.perf_counter()
     print(
-        f"generated {graph.num_edges} edges in "
-        f"{time.perf_counter() - started:.2f}s",
+        f"generated {graph.num_edges} edges "
+        f"generate={generated - started:.2f}s write={written - generated:.2f}s "
+        f"wall={written - started:.2f}s",
         file=sys.stderr,
     )
     return 0
+
+
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in kilobytes on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -179,25 +187,28 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if close:
             out.close()
     written = time.perf_counter()
-    # ru_maxrss is in kilobytes on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"method={scores.method} iterations={scores.iterations_run} "
         f"converged={str(scores.converged).lower()} "
         f"pairs={scores.pair_count} load={loaded - started:.2f}s "
         f"score={scored - loaded:.2f}s write={written - scored:.2f}s "
-        f"wall={written - started:.2f}s peak_rss_mb={peak_mb:.0f}",
+        f"wall={written - started:.2f}s peak_rss_mb={_peak_rss_mb():.0f}",
         file=sys.stderr,
     )
     return 0
 
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     graph = load_graph(args.graph)
+    loaded = time.perf_counter()
     if args.scores is not None:
         scores = SimilarityScores.read(args.scores, graph)
+        phase = "read"
     else:
         scores = _compute_scores(graph, args.method, args)
+        phase = "score"
+    scored = time.perf_counter()
     bids = BidTermList.load(args.bids) if args.bids else None
     lists = [
         top_rewrites(
@@ -209,16 +220,24 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         )
         for query in graph.queries()
     ]
+    ranked = time.perf_counter()
     out, close = _open_output(args.output)
     try:
         write_rewrites(lists, out)
     finally:
         if close:
             out.close()
+    written = time.perf_counter()
     covered = coverage(lists, graph.query_labels)
     histogram = depth_histogram(lists, max_depth=args.final_cap)
     depths = " ".join(f"{d}:{f:.3f}" for d, f in histogram.items())
     print(f"coverage={covered:.3f} depth_histogram={depths}", file=sys.stderr)
+    print(
+        f"load={loaded - started:.2f}s {phase}={scored - loaded:.2f}s "
+        f"rank={ranked - scored:.2f}s write={written - ranked:.2f}s "
+        f"wall={written - started:.2f}s peak_rss_mb={_peak_rss_mb():.0f}",
+        file=sys.stderr,
+    )
     return 0
 
 

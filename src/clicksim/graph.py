@@ -22,6 +22,10 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
+from .lines import LabelTable, format_lines
+
+_WRITE_CHUNK_EDGES = 65536
+
 
 class GraphFormatError(ValueError):
     """Raised when a graph file cannot be parsed or fails validation."""
@@ -399,11 +403,17 @@ def save_graph(graph: ClickGraph, destination) -> None:
         with open(destination, "w", encoding="utf-8") as fh:
             save_graph(graph, fh)
         return
-    for q, a, st in graph.edges():
-        destination.write(
-            f"{graph.label(q)}\t{graph.label(a)}\t{st.impressions}\t"
-            f"{st.clicks}\t{st.expected_click_rate:.6f}\n"
+    queries, ads = LabelTable(graph.query_labels), LabelTable(graph.ad_labels)
+    for start in range(0, graph.num_edges, _WRITE_CHUNK_EDGES):
+        edges = slice(start, start + _WRITE_CHUNK_EDGES)
+        text = format_lines(
+            (queries, graph._eq[edges]),
+            (ads, graph._ea[edges]),
+            graph._imp[edges],
+            graph._clk[edges],
+            graph._ecr[edges],
         )
+        destination.write(str(text, "utf-8"))
 
 
 # -- constructors ------------------------------------------------------------

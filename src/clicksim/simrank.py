@@ -33,10 +33,11 @@ import numpy as np
 from scipy import sparse
 
 from .graph import ClickGraph, NodeId, NodeKind
+from .lines import LabelTable, format_lines
 
 _BLOCK_ROWS = 1024
 _READ_CHUNK_LINES = 4096
-_WRITE_CHUNK_PAIRS = 8192
+_WRITE_CHUNK_PAIRS = 65536
 
 
 class Method(enum.Enum):
@@ -179,19 +180,15 @@ class SimilarityScores:
             hi = np.maximum(ra, rb)
             order = np.lexsort((hi, lo))
             lo, hi, data = lo[order], hi[order], coo.data[order]
-            # Python ints and floats, a chunk at a time: formatting numpy
-            # scalars and indexing with them is several times slower, and
-            # converting the whole table at once costs its size in memory
+            # the lines are built in bulk a chunk at a time, so the text
+            # never takes more memory than one chunk of it
+            table = LabelTable(by_rank)
             for start in range(0, lo.size, _WRITE_CHUNK_PAIRS):
                 stop = start + _WRITE_CHUNK_PAIRS
-                out.writelines(
-                    f"{by_rank[l]}\t{by_rank[h]}\t{v:.6f}\n"
-                    for l, h, v in zip(
-                        lo[start:stop].tolist(),
-                        hi[start:stop].tolist(),
-                        data[start:stop].tolist(),
-                    )
+                text = format_lines(
+                    (table, lo[start:stop]), (table, hi[start:stop]), data[start:stop]
                 )
+                out.write(str(text, "utf-8"))
         for i, j in self.degenerate_pairs:
             a, b = sorted((self.query_labels[i], self.query_labels[j]))
             out.write(f"# degenerate\t{a}\t{b}\n")
@@ -291,6 +288,19 @@ def _parse_dump_chunk(
     later lines, so they never change which fault the caller reports.
     The checks that need the whole table are left to the caller.
     """
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"  # the last line of a file may lack it
+
+    # Nearly every chunk holds data lines only, so first parse it as such.
+    # A comment line shows as a '#' after a line break, and a blank line
+    # always faults (it has no 3 fields, or no number as the third), so a
+    # chunk that may hold either is parsed again below, skipping them.
+    joined = "\t".join(lines)
+    if not (joined.startswith("#") or "\n\t#" in joined):
+        part, faults = _parse_pairs(joined, lines, range(len(lines)), first, graph)
+        if not faults:
+            return part, None, None
+
     declared = None
     faults = []
     data = [
@@ -306,15 +316,27 @@ def _parse_dump_chunk(
                     break
                 declared = name
         lines = [lines[i] for i in data]
-    if lines and not lines[-1].endswith("\n"):
-        lines[-1] += "\n"  # the last line of a file may lack it
+    part, more = _parse_pairs("\t".join(lines), lines, data, first, graph)
+    faults += more
+    return part, declared, min(faults, key=lambda f: f[0]) if faults else None
 
+
+def _parse_pairs(
+    joined: str, lines: list[str], data, first: int, graph: ClickGraph
+) -> tuple[tuple[np.ndarray, ...], list[tuple[int, str]]]:
+    """Parse data ``lines``, tab-joined as ``joined``; the k-th of them is
+    line ``first + data[k]`` of the file.
+
+    Returns the pairs read, as :func:`_parse_dump_chunk` does, and the
+    faults found.
+    """
+    faults = []
     # One flat list for the whole chunk: a list per line costs far more.
     # Each line holds one newline, at its end, so every line has 3 fields
     # exactly when there are 3 per line in all and every third field
     # carries a newline.
     count = len(lines)
-    fields = "\t".join(lines).split("\t") if lines else []
+    fields = joined.split("\t") if lines else []
     if len(fields) != 3 * count or "".join(fields[2::3]).count("\n") != count:
         count = next(k for k, line in enumerate(lines) if line.count("\t") != 2)
         faults.append((first + data[count], "expected 3 tab-separated fields"))
@@ -346,8 +368,7 @@ def _parse_dump_chunk(
         vals = np.fromiter(map(float, fields[2 : 3 * count : 3]), np.float64, count=count)
 
     linenos = first + np.asarray(data[:count], dtype=np.int64)
-    part = (rows[:count], cols[:count], vals, linenos)
-    return part, declared, min(faults, key=lambda f: f[0]) if faults else None
+    return (rows[:count], cols[:count], vals, linenos), faults
 
 
 # -- engine core ---------------------------------------------------------

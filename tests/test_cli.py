@@ -1,5 +1,7 @@
 """End-to-end command-line runs in a subprocess."""
 
+import re
+
 import pytest
 
 from clicksim.graph import demo_graph, generate_synthetic, save_graph
@@ -19,6 +21,11 @@ def gadget_file(tmp_path):
     path = tmp_path / "gadgets.tsv"
     save_graph(planted_skew_graph(0), path)
     return path
+
+
+def _phase_times(stderr):
+    """Names of the ``name=1.23s`` phase times on stderr, in order."""
+    return re.findall(r"\b([a-z]+)=\d+\.\d\ds\b", stderr)
 
 
 def test_ingest_check_summary(demo_file):
@@ -51,6 +58,7 @@ def test_generate_is_deterministic(tmp_path):
             "--seed", 9]
     proc = run_cli(*args, "-o", out1)
     assert "generated 90 edges" in proc.stderr
+    assert _phase_times(proc.stderr) == ["generate", "write", "wall"]
     run_cli(*args, "-o", out2)
     assert out1.read_bytes() == out2.read_bytes()
     # a different seed changes the sample
@@ -135,6 +143,18 @@ def test_rewrite_from_saved_scores_matches_direct(tmp_path):
         run_cli("rewrite", "--graph", graph_file, "--method", method, "-o", direct)
         run_cli("rewrite", "--graph", graph_file, "--scores", dump, "-o", reused)
         assert direct.read_bytes() == reused.read_bytes(), method
+
+
+def test_rewrite_reports_phase_times(demo_file, tmp_path):
+    dump = tmp_path / "scores.tsv"
+    run_cli("compute", "--graph", demo_file, "-o", dump)
+    out = tmp_path / "rewrites.tsv"
+    for source, phase in ((["--scores", dump], "read"), ([], "score")):
+        proc = run_cli("rewrite", "--graph", demo_file, *source, "-o", out)
+        assert "coverage=0.800 depth_histogram=0:0.200 3:0.800\n" in proc.stderr
+        assert _phase_times(proc.stderr) == ["load", phase, "rank", "write", "wall"]
+        assert re.search(r"\bpeak_rss_mb=\d+\n", proc.stderr)
+        assert proc.stdout == ""
 
 
 def test_rewrite_bid_filtering(demo_file, tmp_path):

@@ -1,0 +1,271 @@
+"""The bulk line formatter and the writers built on it, against per-line
+f-string references."""
+
+import importlib
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from clicksim import graph as graph_module
+from clicksim.baselines import common_ad_scores, pearson_scores
+from clicksim.evidence import evidence_simrank
+from clicksim.graph import ClickGraph, demo_graph, generate_synthetic, save_graph
+from clicksim.lines import LabelTable, format_lines
+from clicksim.simrank import Method, SimilarityScores, printed_score, simrank
+from clicksim.weighted import weighted_simrank
+
+# the package exports a function of the same name
+simrank_module = importlib.import_module("clicksim.simrank")
+
+# -- references: the per-line f-string writers the bulk ones replaced -------
+
+
+def reference_lines(*columns) -> bytes:
+    """What ``format_lines`` must return, one f-string per line."""
+    fields = []
+    for column in columns:
+        if isinstance(column, tuple):
+            labels, index = column
+            fields.append([labels[i] for i in index.tolist()])
+        elif np.issubdtype(column.dtype, np.integer):
+            fields.append([f"{v}" for v in column.tolist()])
+        else:
+            fields.append([f"{v:.6f}" for v in column.tolist()])
+    return "".join("\t".join(row) + "\n" for row in zip(*fields)).encode("utf-8")
+
+
+def reference_dump(scores: SimilarityScores) -> str:
+    out = io.StringIO()
+    if scores.method != Method.SIMPLE.value:
+        out.write(f"# method={scores.method}\n")
+    coo = sparse.triu(scores.matrix, k=1).tocoo()
+    labels = scores.query_labels
+    rows = sorted(
+        (*sorted((labels[i], labels[j])), v)
+        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    )
+    for a, b, v in rows:
+        out.write(f"{a}\t{b}\t{v:.6f}\n")
+    for i, j in scores.degenerate_pairs:
+        a, b = sorted((labels[i], labels[j]))
+        out.write(f"# degenerate\t{a}\t{b}\n")
+    return out.getvalue()
+
+
+def reference_graph_file(graph: ClickGraph) -> str:
+    out = io.StringIO()
+    for q, a, st_ in graph.edges():
+        out.write(
+            f"{graph.label(q)}\t{graph.label(a)}\t{st_.impressions}\t"
+            f"{st_.clicks}\t{st_.expected_click_rate:.6f}\n"
+        )
+    return out.getvalue()
+
+
+def _formatted(*columns) -> bytes:
+    return format_lines(*columns).tobytes()
+
+
+def _labels(columns):
+    """``format_lines`` columns with label tuples given as plain lists."""
+    return [
+        (LabelTable(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns
+    ]
+
+
+# -- the formatter ----------------------------------------------------------
+
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]),
+    # halfway at the 7th decimal: exact in binary (k / 2**m) or not
+    st.builds(lambda k, m: k / 2.0**m, st.integers(-(2**20), 2**20), st.integers(7, 30)),
+    st.integers(-(10**9), 10**9).map(lambda k: (k + 0.5) / 1e6),
+)
+any_int = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(any_int, any_float), min_size=1, max_size=60))
+def test_formatter_matches_f_strings(rows):
+    ints = np.array([i for i, _ in rows], dtype=np.int64)
+    floats = np.array([v for _, v in rows], dtype=np.float64)
+    assert _formatted(ints, floats) == reference_lines(ints, floats)
+    assert _formatted(floats) == reference_lines(floats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=90),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    ),
+    st.lists(st.tuples(st.integers(0, 7), st.floats(-2.0, 2.0)), min_size=1, max_size=40),
+)
+def test_formatter_matches_f_strings_with_labels(labels, rows):
+    index = np.array([i % len(labels) for i, _ in rows])
+    floats = np.array([v for _, v in rows])
+    columns = [(labels, index), floats, (labels, index[::-1].copy())]
+    assert _formatted(*_labels(columns)) == reference_lines(*columns)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # exact ties k / 2**m at the 7th decimal and beyond
+        [k / 2.0**m for m in range(1, 30) for k in range(1, 40, 2)],
+        # decimal ties that are inexact in binary: y lands on or next to
+        # a half-integer, and only the exact value says which way it goes
+        [(k + 0.5) / 1e6 for k in range(0, 3000)],
+        [math.nextafter((k + 0.5) / 1e6, d) for k in range(0, 3000) for d in (0, 1)],
+        # values that round up to 1.000000 or just miss it
+        [0.9999995, 0.99999949999, 0.99999950001, math.nextafter(0.9999995, 0),
+         math.nextafter(0.9999995, 1), 0.9999999999, 1.0, math.nextafter(1.0, 0)],
+        # signs, zeros and values that print as zero
+        [-0.0, 0.0, -1e-9, 1e-9, -4.9e-7, -5e-7, -5.1e-7, 5e-324, -5e-324, 2.2e-308],
+        # non-finite and huge, near and past the fast path's limit
+        [math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300, 2.0**50 / 1e6,
+         math.nextafter(2.0**50 / 1e6, 0), 1e9 + 0.5, 123456789.1234565],
+    ],
+    ids=["dyadic-ties", "decimal-ties", "near-ties", "round-to-one", "signs", "huge"],
+)
+def test_formatter_fixed_floats(values):
+    floats = np.array(values, dtype=np.float64)
+    assert _formatted(floats) == reference_lines(floats)
+    assert _formatted(-floats) == reference_lines(-floats)
+
+
+def test_formatter_fixed_ints():
+    ints = np.array(
+        [0, 1, -1, 9, 10, 99, 100, 10**12, -(10**12), 2**31, 2**32, 2**32 - 1,
+         10**18, 2**63 - 1, -(2**63)],
+        dtype=np.int64,
+    )
+    assert _formatted(ints) == reference_lines(ints)
+    assert _formatted(ints.astype(np.int32, casting="unsafe")) == reference_lines(
+        ints.astype(np.int32, casting="unsafe")
+    )
+
+
+def test_formatter_labels_long_and_non_ascii():
+    labels = ["", "a", "é", "日本語のクエリ", "x" * 64, "y" * 65, "ü" * 40, "q" * 300]
+    index = np.array([7, 0, 1, 2, 3, 4, 5, 6, 7, 5, 0, 3])
+    floats = np.linspace(-1, 1, index.size)
+    ints = np.arange(index.size) * 10**11
+    columns = [(labels, index), ints, (labels, index[::-1].copy()), floats]
+    assert _formatted(*_labels(columns)) == reference_lines(*columns)
+    # a label as the last field is followed by the newline
+    columns = [floats, (labels, index)]
+    assert _formatted(*_labels(columns)) == reference_lines(*columns)
+
+
+def test_formatter_empty_chunk():
+    table = LabelTable(["a"])
+    empty = np.empty(0, dtype=np.int64)
+    assert _formatted((table, empty), empty, empty.astype(float)) == b""
+
+
+def test_printed_text_parses_to_printed_score():
+    rng = np.random.default_rng(5)
+    values = np.concatenate(
+        [rng.random(5000), rng.uniform(-1, 1, 5000), (np.arange(4000) + 0.5) / 1e6]
+    )
+    text = format_lines(values).tobytes().decode().splitlines()
+    assert [float(t) for t in text] == [printed_score(v) for v in values.tolist()]
+
+
+# -- the writers ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def graph_600():
+    return generate_synthetic(600, 600, 1800, seed=42)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [simrank, evidence_simrank, weighted_simrank, pearson_scores, common_ad_scores],
+    ids=["simple", "evidence", "weighted", "pearson", "common"],
+)
+def test_dump_matches_reference_writer(graph_600, score):
+    scores = score(graph_600)
+    buf = io.StringIO()
+    scores.write(buf)
+    assert buf.getvalue() == reference_dump(scores)
+    if score is pearson_scores:
+        assert scores.degenerate_pairs and "# degenerate" in buf.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_dump_chunk_boundaries(monkeypatch, graph_600, chunk):
+    monkeypatch.setattr(simrank_module, "_WRITE_CHUNK_PAIRS", chunk)
+    scores = simrank(graph_600)
+    if chunk == 1:  # one pair per chunk is slow on the whole table
+        scores.matrix = scores.matrix[:80, :80]
+        scores.query_labels = scores.query_labels[:80]
+    buf = io.StringIO()
+    scores.write(buf)
+    assert buf.getvalue() == reference_dump(scores)
+
+
+def test_written_scores_read_back_as_printed_scores(tmp_path, graph_600):
+    scores = simrank(graph_600)
+    path = tmp_path / "scores.tsv"
+    scores.write(path)
+    index = {label: i for i, label in enumerate(scores.query_labels)}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            a, b, text = line.split("\t")
+            stored = scores.matrix[index[a], index[b]]
+            assert float(text) == printed_score(stored)
+
+
+def test_unicode_dump_matches_reference_writer():
+    records = [
+        ("café crème", "shop-é", 10, 3, 0.3),
+        ("日本 旅行", "shop-é", 10, 3, 0.0078125),
+        ("zürich hotel", "shop-é", 10, 3, 0.5),
+        ("z" * 100, "shop-é", 10, 3, 0.5),
+        ("café crème", "ad-2", 10, 3, 0.25),
+        ("日本 旅行", "ad-2", 10, 3, 0.25),
+    ]
+    scores = simrank(ClickGraph.from_records(records))
+    buf = io.StringIO()
+    scores.write(buf)
+    assert buf.getvalue() == reference_dump(scores)
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [((600, 600, 1800), 42), ((2000, 2000, 6000), 42), ((300, 300, 900), 7)],
+)
+def test_graph_file_matches_reference_writer(tmp_path, shape, seed):
+    graph = generate_synthetic(*shape, seed=seed)
+    path = tmp_path / "graph.tsv"
+    save_graph(graph, path)
+    assert path.read_text(encoding="utf-8") == reference_graph_file(graph)
+
+
+def test_graph_file_unicode_and_large_counts(monkeypatch):
+    monkeypatch.setattr(graph_module, "_WRITE_CHUNK_EDGES", 3)
+    records = [
+        ("café crème", "boulangerie-é", 10**12, 10**11, 0.1),
+        ("日本 旅行", "旅行社.jp", 10**12 + 1, 0, 0.0078125),
+        ("zürich hotel", "hôtel-" + "ß" * 70, 1, 1, 1.0),
+        ("café crème", "旅行社.jp", 2**62, 2**61, 2.5e-06),
+        ("ελληνικά", "boulangerie-é", 7, 0, 0.0),
+    ]
+    graph = ClickGraph.from_records(records)
+    buf = io.StringIO()
+    save_graph(graph, buf)
+    assert buf.getvalue() == reference_graph_file(graph)
+    buf = io.StringIO()
+    save_graph(demo_graph(), buf)
+    assert buf.getvalue() == reference_graph_file(demo_graph())

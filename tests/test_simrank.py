@@ -509,3 +509,41 @@ def test_dump_reader_reports_the_earlier_of_two_faults(
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"scores.tsv:{first}: .*{message}"):
         SimilarityScores.read(path, synthetic_300)
+
+
+@pytest.mark.parametrize("at", [8, 11, 14])
+@pytest.mark.parametrize(
+    "skipped", ["", "\t\t", "  \t \t ", " ", "# a comment", "# degenerate\tq1\tq2"]
+)
+def test_dump_reader_skips_blank_and_comment_lines_in_any_chunk(
+    tmp_path, monkeypatch, synthetic_300, skipped, at
+):
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", 7)
+    lines = _valid_dump_lines(synthetic_300, 30)
+    clean = tmp_path / "clean.tsv"
+    clean.write_text("\n".join(lines) + "\n")
+    want = SimilarityScores.read(clean, synthetic_300).matrix
+    lines.insert(at - 1, skipped)
+    path = tmp_path / "scores.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_same_csr(SimilarityScores.read(path, synthetic_300).matrix, want)
+    # a fault after the skipped line is reported at its own line number
+    lines[at + 2] = CORRUPTIONS["unknown label"][0](lines, at + 3)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"scores.tsv:{at + 3}: .*unknown query label"):
+        SimilarityScores.read(path, synthetic_300)
+
+
+def test_dump_reader_treats_hash_lines_as_comments(tmp_path):
+    # a line starting with '#' is a comment even where it would parse as
+    # a pair, in the first chunk and in any later one
+    graph = ClickGraph.from_records(
+        [(q, "ad", 1, 1, 1.0) for q in ("#deals", "deals", "sale")]
+    )
+    path = tmp_path / "scores.tsv"
+    for lines in (["#deals\tsale\t0.5", "deals\tsale\t0.5"],
+                  ["deals\tsale\t0.5", "#deals\tdeals\t0.5"]):
+        path.write_text("\n".join(lines) + "\n")
+        table = SimilarityScores.read(path, graph)
+        assert table.pair_count == 1
+        assert table.matrix[1, 2] == 0.5
