@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .evidence import _symmetric, common_neighbor_counts
 from .graph import ClickGraph, NodeId, NodeKind
 from .simrank import SimilarityScores
 
@@ -49,32 +50,47 @@ class PearsonContext:
         return cls(mean_weight=means)
 
 
-def _pearson_with_flag(
-    graph: ClickGraph, q: NodeId, q2: NodeId, context: PearsonContext
-) -> tuple[float, bool]:
-    """(correlation, degenerate): degenerate means a zero denominator."""
-    i = _check_query(graph, q)
-    j = _check_query(graph, q2)
-    weights_i = {ad.index: st.expected_click_rate for ad, st in graph.neighbors(q)}
-    shared = 0
-    num = 0.0
-    den_i = 0.0
-    den_j = 0.0
-    for ad, st in graph.neighbors(q2):
-        if ad.index not in weights_i:
-            continue
-        shared += 1
-        di = weights_i[ad.index] - context.mean_weight[i]
-        dj = st.expected_click_rate - context.mean_weight[j]
-        num += di * dj
-        den_i += di * di
-        den_j += dj * dj
-    if shared == 0:
-        return 0.0, False
-    if den_i <= 0.0 or den_j <= 0.0:
-        return 0.0, True
-    r = num / np.sqrt(den_i * den_j)
-    return float(np.clip(r, -1.0, 1.0)), False
+def _correlations(
+    adjacency: sparse.csr_matrix,
+    means: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r of the query pairs ``(rows[n], cols[n])``, and whether
+    each pair is degenerate (a zero denominator).
+
+    D holds each edge's deviation from its query's mean and B the 0/1
+    pattern of ``adjacency``.  Over the ads two queries share,
+    ``D @ D.T`` sums the cross terms and ``(D∘D) @ B.T`` the first
+    query's squared deviations; read at ``(j, i)`` it gives the second
+    query's.  scipy's CSR product sums each entry from 0.0 in the row's
+    ascending ad order, as a loop over the shared ads would, whereas
+    ``np.add.reduceat`` and ``.sum()`` sum pairwise and round
+    differently.  The product drops entries that sum to zero, so values
+    are looked up at the pairs rather than taken from its pattern.
+    """
+    deviation = adjacency.copy()
+    deviation.data = adjacency.data - np.repeat(means, np.diff(adjacency.indptr))
+    squares = deviation.copy()
+    squares.data = deviation.data * deviation.data
+    binary = adjacency.copy()
+    binary.data = np.ones_like(adjacency.data)
+    num = _values_at(deviation @ deviation.T, rows, cols)
+    spread = squares @ binary.T
+    den_i = _values_at(spread, rows, cols)
+    den_j = _values_at(spread, cols, rows)
+    degenerate = (den_i <= 0.0) | (den_j <= 0.0)
+    ok = ~degenerate
+    r = np.zeros(rows.size)
+    r[ok] = np.clip(num[ok] / np.sqrt(den_i[ok] * den_j[ok]), -1.0, 1.0)
+    return r, degenerate
+
+
+def _values_at(
+    matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    matrix.sort_indices()  # lets the lookup binary-search each row
+    return np.asarray(matrix[rows, cols]).ravel()
 
 
 def pearson(
@@ -90,21 +106,16 @@ def pearson(
     score 0; pairs whose deviations vanish on the shared ads (zero
     variance) are degenerate and also score 0.
     """
+    i = _check_query(graph, q)
+    j = _check_query(graph, q2)
     if context is None:
         context = PearsonContext.from_graph(graph)
-    value, _ = _pearson_with_flag(graph, q, q2, context)
-    return value
-
-
-def _co_neighbor_pairs(graph: ClickGraph) -> sparse.coo_matrix:
-    binary = graph.query_adjacency.copy()
-    binary.data = np.ones_like(binary.data)
-    counts = (binary @ binary.T).tocoo()
-    keep = counts.row < counts.col
-    return sparse.coo_matrix(
-        (counts.data[keep], (counts.row[keep], counts.col[keep])),
-        shape=counts.shape,
+    both = [i, j]
+    r, _ = _correlations(
+        graph.query_adjacency[both], context.mean_weight[both],
+        np.array([0]), np.array([1]),
     )
+    return float(r[0])
 
 
 def pearson_scores(graph: ClickGraph) -> SimilarityScores:
@@ -114,45 +125,28 @@ def pearson_scores(graph: ClickGraph) -> SimilarityScores:
     them) are recorded on the returned table so score dumps can flag
     them.
     """
-    context = PearsonContext.from_graph(graph)
-    pairs = _co_neighbor_pairs(graph)
-    rows, cols, vals = [], [], []
-    degenerate = []
-    for i, j in zip(pairs.row, pairs.col):
-        qi = NodeId(NodeKind.QUERY, int(i))
-        qj = NodeId(NodeKind.QUERY, int(j))
-        r, is_degenerate = _pearson_with_flag(graph, qi, qj, context)
-        if is_degenerate:
-            degenerate.append((int(i), int(j)))
-        if r != 0.0:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [r, r]
-    matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(graph.num_queries, graph.num_queries)
-    )
+    pairs = graph.co_clicks
+    means = PearsonContext.from_graph(graph).mean_weight
+    r, degenerate = _correlations(graph.query_adjacency, means, pairs.row, pairs.col)
+    keep = r != 0.0
+    matrix = _symmetric(pairs.row[keep], pairs.col[keep], r[keep], graph.num_queries)
     return SimilarityScores(
         query_labels=graph.query_labels,
         matrix=matrix,
         iterations_run=0,
         converged=True,
         method="pearson",
-        degenerate_pairs=tuple(degenerate),
+        degenerate_pairs=tuple(
+            zip(pairs.row[degenerate].tolist(), pairs.col[degenerate].tolist())
+        ),
     )
 
 
 def common_ad_scores(graph: ClickGraph) -> SimilarityScores:
     """Shared-ad counts for every co-clicked query pair, as a score table."""
-    pairs = _co_neighbor_pairs(graph)
-    rows = np.concatenate([pairs.row, pairs.col])
-    cols = np.concatenate([pairs.col, pairs.row])
-    vals = np.concatenate([pairs.data, pairs.data]).astype(np.float64)
-    matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(graph.num_queries, graph.num_queries)
-    )
     return SimilarityScores(
         query_labels=graph.query_labels,
-        matrix=matrix,
+        matrix=common_neighbor_counts(graph),
         iterations_run=0,
         converged=True,
         method="common",

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .graph import ClickGraph, NodeId, NodeKind, canonical_label, remove_edges
+import numpy as np
+from scipy import sparse
+
+from .graph import (
+    ClickGraph,
+    NodeId,
+    NodeKind,
+    ad_node,
+    canonical_label,
+    remove_edges,
+)
 from .rewrite import RewriteList
 from .simrank import Method, SimRankParams, simrank
 from .weighted import weighted_simrank
@@ -58,41 +68,47 @@ class DesirabilityTriple:
     removed_edges: tuple[tuple[NodeId, NodeId], ...]
 
 
-def _removed_edge_set(
-    graph: ClickGraph, q1: NodeId, q2: NodeId, q3: NodeId
-) -> tuple[tuple[NodeId, NodeId], ...]:
-    other_ads = {ad.index for ad, _ in graph.neighbors(q2)}
-    other_ads.update(ad.index for ad, _ in graph.neighbors(q3))
-    return tuple(
-        (q1, ad) for ad, _ in graph.neighbors(q1) if ad.index in other_ads
-    )
+def _neighbors(adjacency: sparse.csr_matrix, nodes: np.ndarray) -> np.ndarray:
+    """Column indices of the given rows, concatenated in row order."""
+    starts = adjacency.indptr[nodes]
+    lengths = adjacency.indptr[nodes + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return adjacency.indices[np.arange(shift.size) + shift]
 
 
 def _still_connected(
     graph: ClickGraph,
-    removed: set[tuple[int, int]],
+    removed: Sequence[int],
     source: NodeId,
     targets: Sequence[NodeId],
 ) -> bool:
-    # BFS on the implicit post-removal graph; cheaper than materializing it
-    # once per rejection-sampling attempt.
-    wanted = {(t.kind, t.index) for t in targets}
-    seen = {(source.kind, source.index)}
-    frontier = [source]
-    while frontier and wanted - seen:
-        node = frontier.pop()
-        for nbr, _ in graph.neighbors(node):
-            if node.kind is NodeKind.QUERY:
-                q_idx, a_idx = node.index, nbr.index
-            else:
-                q_idx, a_idx = nbr.index, node.index
-            if (q_idx, a_idx) in removed:
-                continue
-            key = (nbr.kind, nbr.index)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(nbr)
-    return not (wanted - seen)
+    """Whether every target query stays reachable from the query
+    ``source`` once its edges to the ads ``removed`` are gone.
+
+    Breadth-first over the CSR adjacency, one level at a time.  Only the
+    first step can take a removed edge: any later step along one leads
+    back to ``source``, which is already seen.
+    """
+    by_query, by_ad = graph.query_adjacency, graph.ad_adjacency
+    seen_q = np.zeros(graph.num_queries, dtype=bool)
+    seen_a = np.zeros(graph.num_ads, dtype=bool)
+    seen_q[source.index] = True
+    wanted = np.array([t.index for t in targets], dtype=np.int64)
+    lo, hi = by_query.indptr[source.index], by_query.indptr[source.index + 1]
+    ads = np.array(
+        [ad for ad in by_query.indices[lo:hi].tolist() if ad not in removed],
+        dtype=np.int64,
+    )
+    while not seen_q[wanted].all():
+        if not ads.size:
+            return False
+        seen_a[ads] = True
+        queries = _neighbors(by_ad, ads)
+        queries = np.unique(queries[~seen_q[queries]])
+        seen_q[queries] = True
+        ads = _neighbors(by_query, queries)
+        ads = np.unique(ads[~seen_a[ads]])
+    return True
 
 
 def select_triples(
@@ -112,19 +128,22 @@ def select_triples(
     rng = random.Random(seed)
     order = list(range(graph.num_queries))
     rng.shuffle(order)
+    by_query, by_ad = graph.query_adjacency, graph.ad_adjacency
+
+    def ads_of(query: int) -> list[int]:
+        lo, hi = by_query.indptr[query], by_query.indptr[query + 1]
+        return by_query.indices[lo:hi].tolist()
 
     triples: list[DesirabilityTriple] = []
     for q1_index in order:
         if len(triples) == n:
             break
         q1 = NodeId(NodeKind.QUERY, q1_index)
-        sharers: set[int] = set()
-        for ad, _ in graph.neighbors(q1):
-            sharers.update(q.index for q, _ in graph.neighbors(ad))
-        sharers.discard(q1_index)
-        if len(sharers) < 2:
+        ads1 = ads_of(q1_index)
+        pool = np.unique(_neighbors(by_ad, np.array(ads1, dtype=np.int64)))
+        pool = pool[pool != q1_index].tolist()
+        if len(pool) < 2:
             continue
-        pool = sorted(sharers)
         # whether a pair survives removal does not depend on its order or
         # on the draw, so a rejected pair is skipped when drawn again; the
         # draw itself still happens, keeping the random stream unchanged
@@ -136,12 +155,16 @@ def select_triples(
                 continue
             q2 = NodeId(NodeKind.QUERY, i2)
             q3 = NodeId(NodeKind.QUERY, i3)
-            removed = _removed_edge_set(graph, q1, q2, q3)
-            removed_keys = {(q.index, a.index) for q, a in removed}
-            if _still_connected(graph, removed_keys, q1, [q2, q3]):
+            # every edge from q1 to an ad q2 or q3 also clicks, in q1's ad order
+            shared = set(ads_of(i2)).union(ads_of(i3))
+            removed = [ad for ad in ads1 if ad in shared]
+            if _still_connected(graph, removed, q1, [q2, q3]):
                 triples.append(
                     DesirabilityTriple(
-                        q1=q1, q2=q2, q3=q3, removed_edges=removed
+                        q1=q1,
+                        q2=q2,
+                        q3=q3,
+                        removed_edges=tuple((q1, ad_node(ad)) for ad in removed),
                     )
                 )
                 break

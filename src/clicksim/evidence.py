@@ -25,6 +25,15 @@ class EvidenceKind(enum.Enum):
     EXPONENTIAL = "exponential"
 
 
+def _evidence_curve(counts, kind: EvidenceKind):
+    """Evidence for float common-neighbor counts, elementwise."""
+    if kind is EvidenceKind.GEOMETRIC:
+        return 1.0 - np.exp2(-counts)
+    if kind is EvidenceKind.EXPONENTIAL:
+        return -np.expm1(-counts)
+    raise ValueError(f"unknown evidence kind: {kind!r}")
+
+
 def evidence_score(common_count: int, kind: EvidenceKind = EvidenceKind.GEOMETRIC) -> float:
     """Evidence for a pair with ``common_count`` shared neighbors.
 
@@ -34,35 +43,31 @@ def evidence_score(common_count: int, kind: EvidenceKind = EvidenceKind.GEOMETRI
     """
     if common_count < 0:
         raise ValueError("common neighbor count cannot be negative")
-    n = float(common_count)
-    if kind is EvidenceKind.GEOMETRIC:
-        return float(1.0 - 2.0 ** -n)
-    if kind is EvidenceKind.EXPONENTIAL:
-        return float(-np.expm1(-n))
-    raise ValueError(f"unknown evidence kind: {kind!r}")
+    return float(_evidence_curve(np.float64(common_count), kind))
+
+
+def _symmetric(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int
+) -> sparse.csr_matrix:
+    """Square CSR matrix holding ``values`` at (rows, cols) and (cols, rows)."""
+    return sparse.csr_matrix(
+        (
+            np.concatenate([values, values]),
+            (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+        ),
+        shape=(size, size),
+    )
 
 
 def common_neighbor_counts(graph: ClickGraph) -> sparse.csr_matrix:
     """Query-query matrix of shared ad counts (diagonal omitted)."""
-    binary = graph.query_adjacency.copy()
-    binary.data = np.ones_like(binary.data)
-    counts = binary @ binary.T
-    coo = counts.tocoo()
-    keep = coo.row != coo.col
-    return sparse.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=counts.shape
-    )
+    pairs = graph.co_clicks
+    return _symmetric(pairs.row, pairs.col, pairs.data, graph.num_queries)
 
 
 def _evidence_matrix(graph: ClickGraph, kind: EvidenceKind) -> sparse.csr_matrix:
-    counts = common_neighbor_counts(graph)
-    out = counts.astype(np.float64)
-    if kind is EvidenceKind.GEOMETRIC:
-        out.data = 1.0 - np.exp2(-out.data)
-    elif kind is EvidenceKind.EXPONENTIAL:
-        out.data = -np.expm1(-out.data)
-    else:
-        raise ValueError(f"unknown evidence kind: {kind!r}")
+    out = common_neighbor_counts(graph)
+    out.data = _evidence_curve(out.data, kind)
     return out
 
 

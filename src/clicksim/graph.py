@@ -131,6 +131,16 @@ class ClickGraph:
         ad identifiers are kept verbatim apart from surrounding whitespace.
         Duplicate (query, ad) pairs are rejected.
         """
+        return cls._from_located(
+            (f"record {row}", record) for row, record in enumerate(records, start=1)
+        )
+
+    @classmethod
+    def _from_located(
+        cls, located: Iterable[tuple[str, tuple[str, str, int, int, float]]]
+    ) -> "ClickGraph":
+        """:meth:`from_records` over ``(where, record)`` pairs, where
+        ``where`` names the record's position in a fault."""
         q_labels: list[str] = []
         a_labels: list[str] = []
         q_index: dict[str, int] = {}
@@ -138,12 +148,12 @@ class ClickGraph:
         qs, As, imps, clks, ecrs = [], [], [], [], []
         seen: set[tuple[int, int]] = set()
 
-        for row, (query, ad, imp, clk, ecr) in enumerate(records, start=1):
+        for where, (query, ad, imp, clk, ecr) in located:
             query = canonical_label(query)
             ad = ad.strip()
             if not query or not ad:
-                raise GraphFormatError(f"record {row}: empty query or ad label")
-            _check_edge_stats(imp, clk, ecr, f"record {row}")
+                raise GraphFormatError(f"{where}: empty query or ad label")
+            _check_edge_stats(imp, clk, ecr, where)
             qi = q_index.setdefault(query, len(q_labels))
             if qi == len(q_labels):
                 q_labels.append(query)
@@ -152,7 +162,7 @@ class ClickGraph:
                 a_labels.append(ad)
             if (qi, ai) in seen:
                 raise GraphFormatError(
-                    f"record {row}: duplicate edge ({query!r}, {ad!r})"
+                    f"{where}: duplicate edge ({query!r}, {ad!r})"
                 )
             seen.add((qi, ai))
             qs.append(qi)
@@ -329,6 +339,24 @@ class ClickGraph:
         )
         return mat
 
+    @cached_property
+    def co_clicks(self) -> sparse.coo_matrix:
+        """Shared-ad counts of every co-clicked query pair ``i < j``.
+
+        The upper triangle of ``B @ B.T``, where B is the 0/1 pattern of
+        :attr:`query_adjacency`, as a float COO matrix in the product's
+        own entry order.  Common-ad scores, Pearson scores and their
+        degenerate pairs, and the evidence factor all follow this order.
+        """
+        binary = self.query_adjacency.copy()
+        binary.data = np.ones_like(binary.data)
+        counts = (binary @ binary.T).tocoo()
+        keep = counts.row < counts.col
+        return sparse.coo_matrix(
+            (counts.data[keep], (counts.row[keep], counts.col[keep])),
+            shape=counts.shape,
+        )
+
     # -- misc -------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -355,40 +383,48 @@ def load_graph(path: str | Path) -> ClickGraph:
 
     Each data line is ``query<TAB>ad<TAB>impressions<TAB>clicks<TAB>ecr``.
     Blank lines and lines starting with ``#`` are ignored.  Malformed
-    lines raise :class:`GraphFormatError` with the offending line number.
+    lines and duplicate edges raise :class:`GraphFormatError` naming the
+    first offending line.
     """
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise GraphFormatError(
-                    f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
-                )
-            query, ad, imp_s, clk_s, ecr_s = fields
-            try:
-                imp = int(imp_s)
-                clk = int(clk_s)
-                ecr = float(ecr_s)
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: non-numeric impressions/clicks/ecr"
-                ) from None
-            try:
-                _check_edge_stats(imp, clk, ecr, f"line {lineno}")
-                records.append((query, ad, imp, clk, ecr))
-            except GraphFormatError:
-                raise
-    try:
-        return ClickGraph.from_records(records)
-    except GraphFormatError as exc:
-        # from_records reports positions as record numbers; those are
-        # 1-based over data lines, which is close enough to locate, but
-        # duplicate detection deserves the real line number.
-        raise GraphFormatError(str(exc)) from None
+        return ClickGraph._from_located(_located_records(fh))
+
+
+def _located_records(fh) -> Iterator[tuple[str, tuple[str, str, int, int, float]]]:
+    for lineno, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise GraphFormatError(
+                f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
+            )
+        query, ad, imp_s, clk_s, ecr_s = fields
+        try:
+            imp = int(imp_s)
+            clk = int(clk_s)
+            ecr = float(ecr_s)
+        except ValueError:
+            raise GraphFormatError(
+                f"line {lineno}: non-numeric impressions/clicks/ecr"
+            ) from None
+        yield f"line {lineno}", (query, ad, imp, clk, ecr)
+
+
+def check_query_labels_writable(labels: Iterable[str]) -> None:
+    """Refuse query labels that a file would read back as comments.
+
+    Graph files and score dumps put a query label first on each line,
+    and their readers skip lines starting with ``#``.  Raises
+    :class:`ValueError` naming the first such label.
+    """
+    for label in labels:
+        if label.startswith("#"):
+            raise ValueError(
+                f"query label {label!r} starts with '#', so its lines "
+                "would read back as comments"
+            )
 
 
 def save_graph(graph: ClickGraph, destination) -> None:
@@ -397,8 +433,10 @@ def save_graph(graph: ClickGraph, destination) -> None:
     Edges are emitted in canonical (query index, ad index) order with the
     expected click rate fixed to six decimal places, so saving the same
     graph twice produces byte-identical files.  ``destination`` may be a
-    path or an open text handle.
+    path or an open text handle.  A query label starting with ``#`` is
+    refused before anything is written.
     """
+    check_query_labels_writable(graph.query_labels)
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as fh:
             save_graph(graph, fh)
@@ -694,9 +732,7 @@ def extract_components(graph: ClickGraph) -> list[ClickGraph]:
     indices, so the result is deterministic.
     """
     nq, na = graph.num_queries, graph.num_ads
-    total = nq + na  # ads numbered after queries
-    comp = np.full(total, -1, dtype=np.int64)
-    if total == 0:
+    if nq + na == 0:
         return []
 
     adj = sparse.bmat(
@@ -707,29 +743,35 @@ def extract_components(graph: ClickGraph) -> list[ClickGraph]:
         format="csr",
     )
     n_comp, labels = sparse.csgraph.connected_components(adj, directed=False)
-    comp[:] = labels
+    # ads are numbered after queries
+    queries, q_local = _group_by(labels[:nq], n_comp)
+    ads, a_local = _group_by(labels[nq:], n_comp)
+    edges, _ = _group_by(labels[graph._eq], n_comp)
 
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for node, c in enumerate(comp):
-        members[c].append(node)
-
-    out = []
-    for c in range(n_comp):
-        nodes = members[c]
-        q_nodes = [n for n in nodes if n < nq]
-        a_nodes = [n - nq for n in nodes if n >= nq]
-        q_map = {old: new for new, old in enumerate(q_nodes)}
-        a_map = {old: new for new, old in enumerate(a_nodes)}
-        mask = np.isin(graph._eq, q_nodes)
-        sub = ClickGraph(
-            [graph.query_labels[i] for i in q_nodes],
-            [graph.ad_labels[j] for j in a_nodes],
-            np.array([q_map[i] for i in graph._eq[mask]], dtype=np.int64),
-            np.array([a_map[j] for j in graph._ea[mask]], dtype=np.int64),
-            graph._imp[mask],
-            graph._clk[mask],
-            graph._ecr[mask],
+    out = [
+        ClickGraph(
+            [graph.query_labels[i] for i in q_nodes.tolist()],
+            [graph.ad_labels[j] for j in a_nodes.tolist()],
+            q_local[graph._eq[e]],
+            a_local[graph._ea[e]],
+            graph._imp[e],
+            graph._clk[e],
+            graph._ecr[e],
         )
-        out.append(sub)
+        for q_nodes, a_nodes, e in zip(queries, ads, edges)
+    ]
     out.sort(key=lambda g: -g.num_edges)
     return out
+
+
+def _group_by(
+    groups: np.ndarray, count: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Positions of each group's members in ascending order, one array per
+    group, and each position's rank within its group."""
+    order = np.argsort(groups, kind="stable")
+    sizes = np.bincount(groups, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    rank = np.empty(groups.size, dtype=np.int64)
+    rank[order] = np.arange(groups.size) - np.repeat(starts, sizes)
+    return np.split(order, starts[1:]), rank

@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 from scipy import sparse
 
-from .graph import ClickGraph, NodeId, NodeKind
+from .graph import ClickGraph, NodeId, NodeKind, check_query_labels_writable
 from .lines import LabelTable, format_lines
 
 _BLOCK_ROWS = 1024
@@ -156,8 +156,11 @@ class SimilarityScores:
         Scores are printed with 6 decimals, as :func:`printed_score`
         rounds them.  Methods other than plain SimRank announce
         themselves in a header comment; degenerate pairs are appended as
-        comment lines.
+        comment lines.  A query label starting with ``#`` is refused
+        before anything is written, since its lines would read back as
+        comments.
         """
+        check_query_labels_writable(self.query_labels)
         if isinstance(destination, (str, Path)):
             with open(destination, "w", encoding="utf-8") as fh:
                 self.write(fh)

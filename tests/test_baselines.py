@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from clicksim.baselines import (
     PearsonContext,
@@ -12,7 +13,8 @@ from clicksim.baselines import (
     pearson,
     pearson_scores,
 )
-from clicksim.graph import ClickGraph, generate_synthetic, query_node
+from clicksim.evidence import EvidenceKind, _evidence_matrix, common_neighbor_counts
+from clicksim.graph import ClickGraph, demo_graph, generate_synthetic, query_node
 
 # every off-diagonal shared-ad count for the five demo queries
 DEMO_COMMON = {
@@ -162,3 +164,154 @@ def test_common_ad_scores_table(demo):
         assert scores.matrix[j, i] == expected
     # only co-clicked pairs are stored
     assert scores.pair_count == sum(1 for v in DEMO_COMMON.values() if v > 0)
+
+
+# -- the per-pair builds the sparse products replaced, kept as references --
+
+
+def _reference_co_neighbor_pairs(graph):
+    binary = graph.query_adjacency.copy()
+    binary.data = np.ones_like(binary.data)
+    counts = (binary @ binary.T).tocoo()
+    keep = counts.row < counts.col
+    return sparse.coo_matrix(
+        (counts.data[keep], (counts.row[keep], counts.col[keep])),
+        shape=counts.shape,
+    )
+
+
+def _reference_pearson_pair(graph, i, j, means):
+    weights_i = {
+        ad.index: stats.expected_click_rate
+        for ad, stats in graph.neighbors(query_node(i))
+    }
+    shared = 0
+    num = 0.0
+    den_i = 0.0
+    den_j = 0.0
+    for ad, stats in graph.neighbors(query_node(j)):
+        if ad.index not in weights_i:
+            continue
+        shared += 1
+        di = weights_i[ad.index] - means[i]
+        dj = stats.expected_click_rate - means[j]
+        num += di * dj
+        den_i += di * di
+        den_j += dj * dj
+    if shared == 0:
+        return 0.0, False
+    if den_i <= 0.0 or den_j <= 0.0:
+        return 0.0, True
+    r = num / np.sqrt(den_i * den_j)
+    return float(np.clip(r, -1.0, 1.0)), False
+
+
+def _reference_pearson_scores(graph):
+    means = PearsonContext.from_graph(graph).mean_weight
+    pairs = _reference_co_neighbor_pairs(graph)
+    rows, cols, vals = [], [], []
+    degenerate = []
+    for i, j in zip(pairs.row, pairs.col):
+        r, is_degenerate = _reference_pearson_pair(graph, int(i), int(j), means)
+        if is_degenerate:
+            degenerate.append((int(i), int(j)))
+        if r != 0.0:
+            rows += [i, j]
+            cols += [j, i]
+            vals += [r, r]
+    matrix = sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(graph.num_queries, graph.num_queries)
+    )
+    return matrix, tuple(degenerate)
+
+
+def _reference_common_ad_matrix(graph):
+    pairs = _reference_co_neighbor_pairs(graph)
+    rows = np.concatenate([pairs.row, pairs.col])
+    cols = np.concatenate([pairs.col, pairs.row])
+    vals = np.concatenate([pairs.data, pairs.data]).astype(np.float64)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(graph.num_queries, graph.num_queries)
+    )
+
+
+def _reference_common_neighbor_counts(graph):
+    binary = graph.query_adjacency.copy()
+    binary.data = np.ones_like(binary.data)
+    counts = binary @ binary.T
+    coo = counts.tocoo()
+    keep = coo.row != coo.col
+    return sparse.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=counts.shape
+    )
+
+
+def _reference_evidence_matrix(graph, kind):
+    out = _reference_common_neighbor_counts(graph).astype(np.float64)
+    if kind is EvidenceKind.GEOMETRIC:
+        out.data = 1.0 - np.exp2(-out.data)
+    else:
+        out.data = -np.expm1(-out.data)
+    return out
+
+
+def _assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.data.dtype == expected.data.dtype == np.float64
+    # bit patterns, so -0.0 and 0.0 or two nans would not pass as equal
+    assert np.array_equal(got.data.view(np.int64), expected.data.view(np.int64))
+
+
+def _bulk_graphs():
+    return [
+        pytest.param(lambda: generate_synthetic(600, 600, 1800, 2.2, seed=42), id="600-s42"),
+        pytest.param(lambda: generate_synthetic(600, 600, 1800, 2.2, seed=7), id="600-s7"),
+        pytest.param(lambda: generate_synthetic(2000, 2000, 6000, 2.2, seed=42), id="2000-s42"),
+        pytest.param(lambda: generate_synthetic(2000, 2000, 6000, 2.2, seed=7), id="2000-s7"),
+        pytest.param(demo_graph, id="demo"),
+    ]
+
+
+@pytest.mark.parametrize("make_graph", _bulk_graphs())
+def test_pearson_scores_equal_the_per_pair_loop(make_graph):
+    graph = make_graph()
+    scores = pearson_scores(graph)
+    matrix, degenerate = _reference_pearson_scores(graph)
+    _assert_same_csr(scores.matrix, matrix)
+    assert scores.degenerate_pairs == degenerate
+
+
+def test_pearson_scores_equal_the_loop_on_the_correlated_graph(correlated_graph):
+    scores = pearson_scores(correlated_graph)
+    matrix, degenerate = _reference_pearson_scores(correlated_graph)
+    _assert_same_csr(scores.matrix, matrix)
+    assert scores.degenerate_pairs == degenerate
+    assert len(degenerate) == 4  # qd is flat on the shared ads
+
+
+def test_pointwise_pearson_equals_the_table(correlated_graph):
+    g = correlated_graph
+    means = PearsonContext.from_graph(g).mean_weight
+    for i in range(g.num_queries):
+        for j in range(g.num_queries):
+            if i != j:
+                r = pearson(g, query_node(i), query_node(j))
+                assert r == _reference_pearson_pair(g, i, j, means)[0]
+
+
+@pytest.mark.parametrize("make_graph", _bulk_graphs())
+def test_co_click_builds_equal_their_old_builds(make_graph):
+    graph = make_graph()
+    pattern, reference = graph.co_clicks, _reference_co_neighbor_pairs(graph)
+    for name in ("row", "col", "data"):
+        assert np.array_equal(getattr(pattern, name), getattr(reference, name))
+    _assert_same_csr(common_ad_scores(graph).matrix, _reference_common_ad_matrix(graph))
+    _assert_same_csr(
+        common_neighbor_counts(graph), _reference_common_neighbor_counts(graph)
+    )
+    for kind in EvidenceKind:
+        _assert_same_csr(
+            _evidence_matrix(graph, kind), _reference_evidence_matrix(graph, kind)
+        )

@@ -1,5 +1,6 @@
 """Desirability scoring, the edge-removal experiment, and judgment metrics."""
 
+import random
 from collections import Counter
 from math import comb
 
@@ -14,7 +15,13 @@ from clicksim.evaluation import (
     precision_recall,
     select_triples,
 )
-from clicksim.graph import ClickGraph, generate_synthetic, remove_edges
+from clicksim.graph import (
+    ClickGraph,
+    NodeKind,
+    generate_synthetic,
+    query_node,
+    remove_edges,
+)
 from clicksim.rewrite import RewriteList
 from clicksim.simrank import SimRankParams, simrank
 from clicksim.weighted import weighted_simrank
@@ -156,6 +163,64 @@ def test_select_triples_pinned_on_seeded_graph():
         (323, 539, 516, (300, 301)),
         (302, 324, 499, (300, 305, 307, 317)),
     ]
+
+
+def _reference_select_triples(graph, n, seed):
+    # the neighbors()-based selection the CSR one replaced, minus its errors
+    def still_connected(removed, source, targets):
+        wanted = {(t.kind, t.index) for t in targets}
+        seen = {(source.kind, source.index)}
+        frontier = [source]
+        while frontier and wanted - seen:
+            node = frontier.pop()
+            for nbr, _ in graph.neighbors(node):
+                if nbr.kind is NodeKind.AD:
+                    edge = (node.index, nbr.index)
+                else:
+                    edge = (nbr.index, node.index)
+                if edge not in removed and (nbr.kind, nbr.index) not in seen:
+                    seen.add((nbr.kind, nbr.index))
+                    frontier.append(nbr)
+        return not (wanted - seen)
+
+    rng = random.Random(seed)
+    order = list(range(graph.num_queries))
+    rng.shuffle(order)
+    triples = []
+    for i1 in order:
+        if len(triples) == n:
+            break
+        q1 = query_node(i1)
+        sharers = {q.index for ad, _ in graph.neighbors(q1) for q, _ in graph.neighbors(ad)}
+        pool = sorted(sharers - {i1})
+        if len(pool) < 2:
+            continue
+        rejected = set()
+        for _ in range(evaluation._REJECTION_CAP):
+            i2, i3 = rng.sample(pool, 2)
+            pair = (min(i2, i3), max(i2, i3))
+            if pair in rejected:
+                continue
+            other = {a.index for q in (i2, i3) for a, _ in graph.neighbors(query_node(q))}
+            removed = [(q1, ad) for ad, _ in graph.neighbors(q1) if ad.index in other]
+            keys = {(q.index, a.index) for q, a in removed}
+            if still_connected(keys, q1, [query_node(i2), query_node(i3)]):
+                triples.append((i1, i2, i3, tuple(a.index for _, a in removed)))
+                break
+            rejected.add(pair)
+    return triples
+
+
+@pytest.mark.parametrize("graph_seed", [11, 13, 42])
+def test_select_triples_equal_the_neighbor_walk(graph_seed):
+    graph = generate_synthetic(600, 600, 1800, seed=graph_seed)
+    for n, seed in ((4, graph_seed), (3, 99)):
+        got = [
+            (t.q1.index, t.q2.index, t.q3.index,
+             tuple(ad.index for _, ad in t.removed_edges))
+            for t in select_triples(graph, n, seed)
+        ]
+        assert got == _reference_select_triples(graph, n, seed)
 
 
 # -- edge-removal experiment -------------------------------------------------

@@ -42,6 +42,14 @@ def test_evidence_strictly_increases_toward_one():
         assert evidence_score(80, kind) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_evidence_score_matches_the_scalar_forms():
+    # the curve is shared with the bulk evidence factor, which evaluates
+    # it with numpy; it must give the scalar formulas' exact values
+    for n in range(2000):
+        assert evidence_score(n) == 1.0 - 2.0 ** -n
+        assert evidence_score(n, EvidenceKind.EXPONENTIAL) == -math.expm1(-n)
+
+
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         evidence_score(-1)

@@ -1,10 +1,12 @@
 """Graph construction, file formats, components, and the synthetic generator."""
 
+import io
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import sparse
 from hypothesis import strategies as st
 
 from clicksim.graph import (
@@ -85,6 +87,49 @@ def test_load_rejects_malformed_line(tmp_path):
         load_graph(path)
 
 
+def test_load_names_the_line_of_a_duplicate_edge(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text(
+        "# clicks\n"
+        "\n"
+        "q1\ta1\t10\t1\t0.1\n"
+        "q2\ta1\t10\t1\t0.1\n"
+        "Q1\ta1\t10\t2\t0.2\n"
+    )
+    with pytest.raises(GraphFormatError, match=r"^line 5: duplicate edge \('q1', 'a1'\)$"):
+        load_graph(path)
+
+
+def test_load_reports_the_earliest_fault(tmp_path):
+    path = tmp_path / "two.tsv"
+    path.write_text(
+        "q1\ta1\t10\t1\t0.1\n"
+        "\ta2\t10\t1\t0.1\n"
+        "q1\ta1\t10\t1\t0.1\n"
+        "q3\ta1\t10\n"
+    )
+    with pytest.raises(GraphFormatError, match=r"^line 2: empty query or ad label$"):
+        load_graph(path)
+
+
+def test_writers_refuse_query_labels_read_back_as_comments(tmp_path):
+    graph = ClickGraph.from_records(
+        [("q", "a", 10, 1, 0.1), ("#deals", "a", 10, 1, 0.1), ("#sale", "a", 10, 1, 0.1)]
+    )
+    path = tmp_path / "g.tsv"
+    with pytest.raises(ValueError, match="'#deals' starts with '#'"):
+        save_graph(graph, path)
+    assert not path.exists()
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="'#deals'"):
+        save_graph(graph, out)
+    assert out.getvalue() == ""
+    # a '#' inside a label or on an ad is harmless: it never starts a line
+    fine = ClickGraph.from_records([("q#1", "#a", 10, 1, 0.1), ("q2", "#a", 10, 1, 0.1)])
+    save_graph(fine, path)
+    assert list(load_graph(path).edges()) == list(fine.edges())
+
+
 def test_complete_bipartite_shapes():
     g = complete_bipartite(num_ads=3, num_queries=2, weight=0.1)
     assert g.num_ads == 3 and g.num_queries == 2
@@ -109,6 +154,60 @@ def test_extract_components_splits_demo(demo):
     assert comps[0].num_edges == 6  # largest first
     assert comps[1].num_edges == 2
     assert "flower" in comps[1].query_labels
+
+
+def _reference_components(graph):
+    # the per-component np.isin build the grouped one replaced
+    nq = graph.num_queries
+    adj = sparse.bmat(
+        [[None, graph.query_adjacency], [graph.ad_adjacency, None]], format="csr"
+    )
+    n_comp, labels = sparse.csgraph.connected_components(adj, directed=False)
+    members = [[] for _ in range(n_comp)]
+    for node, c in enumerate(labels):
+        members[c].append(node)
+    out = []
+    for nodes in members:
+        q_nodes = [n for n in nodes if n < nq]
+        a_nodes = [n - nq for n in nodes if n >= nq]
+        q_map = {old: new for new, old in enumerate(q_nodes)}
+        a_map = {old: new for new, old in enumerate(a_nodes)}
+        mask = np.isin(graph._eq, q_nodes)
+        out.append(
+            ClickGraph(
+                [graph.query_labels[i] for i in q_nodes],
+                [graph.ad_labels[j] for j in a_nodes],
+                np.array([q_map[i] for i in graph._eq[mask]], dtype=np.int64),
+                np.array([a_map[j] for j in graph._ea[mask]], dtype=np.int64),
+                graph._imp[mask],
+                graph._clk[mask],
+                graph._ecr[mask],
+            )
+        )
+    out.sort(key=lambda g: -g.num_edges)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        demo_graph,
+        lambda: generate_synthetic(600, 600, 1800, seed=12),
+        lambda: generate_synthetic(2000, 2000, 6000, seed=42),
+        lambda: generate_synthetic(300, 40, 900, seed=3),
+    ],
+    ids=["demo", "600-s12", "2000-s42", "300x40-s3"],
+)
+def test_extract_components_equal_the_per_component_build(make_graph):
+    graph = make_graph()
+    got, expected = extract_components(graph), _reference_components(graph)
+    assert len(got) == len(expected) > 1
+    for g, e in zip(got, expected):
+        assert g.query_labels == e.query_labels
+        assert g.ad_labels == e.ad_labels
+        for name in ("_eq", "_ea", "_imp", "_clk", "_ecr"):
+            a, b = getattr(g, name), getattr(e, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # -- synthetic generator -------------------------------------------------

@@ -547,3 +547,20 @@ def test_dump_reader_treats_hash_lines_as_comments(tmp_path):
         table = SimilarityScores.read(path, graph)
         assert table.pair_count == 1
         assert table.matrix[1, 2] == 0.5
+
+
+def test_dump_writer_refuses_query_labels_read_back_as_comments(tmp_path):
+    # '#deals' would sort first on its lines and vanish on reading
+    graph = ClickGraph.from_records(
+        [(q, "ad", 1, 1, 1.0) for q in ("sale", "#deals", "deals", "#promo")]
+    )
+    table = simrank(graph, SimRankParams(max_iterations=2))
+    assert table.pair_count == 6
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(ValueError, match="'#deals' starts with '#'"):
+        table.write(path)
+    assert not path.exists()
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="'#deals'"):
+        table.write(out)
+    assert out.getvalue() == ""
