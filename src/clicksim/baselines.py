@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .evidence import _symmetric, common_neighbor_counts
-from .graph import ClickGraph, NodeId, NodeKind
+from .graph import ClickGraph, NodeId, NodeKind, _pattern
 from .simrank import SimilarityScores
 
 
@@ -29,8 +29,9 @@ def common_ad_count(graph: ClickGraph, q: NodeId, q2: NodeId) -> int:
     """Number of ads clicked for both queries."""
     _check_query(graph, q)
     _check_query(graph, q2)
-    ads = {ad.index for ad, _ in graph.neighbors(q)}
-    return sum(1 for ad, _ in graph.neighbors(q2) if ad.index in ads)
+    ads, _ = graph._adjacency_row(q)
+    ads2, _ = graph._adjacency_row(q2)
+    return int(np.intersect1d(ads, ads2, assume_unique=True).size)
 
 
 @dataclass
@@ -73,8 +74,7 @@ def _correlations(
     deviation.data = adjacency.data - np.repeat(means, np.diff(adjacency.indptr))
     squares = deviation.copy()
     squares.data = deviation.data * deviation.data
-    binary = adjacency.copy()
-    binary.data = np.ones_like(adjacency.data)
+    binary = _pattern(adjacency)
     num = _values_at(deviation @ deviation.T, rows, cols)
     spread = squares @ binary.T
     den_i = _values_at(spread, rows, cols)

@@ -20,6 +20,8 @@ import sys
 import time
 from typing import Sequence
 
+import numpy as np
+
 from .baselines import common_ad_scores, pearson_scores
 from .evaluation import (
     JudgmentSet,
@@ -31,7 +33,7 @@ from .evidence import EvidenceKind, evidence_simrank
 from .graph import (
     ClickGraph,
     GraphFormatError,
-    extract_components,
+    _component_labels,
     generate_synthetic,
     load_graph,
     save_graph,
@@ -98,15 +100,13 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker threads; output is identical for any value")
 
 
-def _params_from(args: argparse.Namespace, method: str) -> SimRankParams:
-    tag = method if method in _ENGINE_METHODS else Method.SIMPLE.value
+def _params_from(args: argparse.Namespace) -> SimRankParams:
     return SimRankParams(
         c1=args.c1,
         c2=args.c2,
         max_iterations=args.max_iterations,
         convergence_epsilon=args.epsilon,
         min_score_threshold=args.threshold,
-        method=Method(tag),
     )
 
 
@@ -117,7 +117,7 @@ def _compute_scores(
         return pearson_scores(graph)
     if method == "common":
         return common_ad_scores(graph)
-    params = _params_from(args, method)
+    params = _params_from(args)
     kind = EvidenceKind(args.evidence_kind)
     if method == "simple":
         return simrank(graph, params, threads=args.threads)
@@ -134,12 +134,13 @@ def _open_output(path: str):
 
 def cmd_ingest_check(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    components = extract_components(graph)
+    count, _, edge_labels = _component_labels(graph)
+    edges = np.bincount(edge_labels, minlength=count)
     print(f"queries\t{graph.num_queries}")
     print(f"ads\t{graph.num_ads}")
     print(f"edges\t{graph.num_edges}")
-    print(f"components\t{len(components)}")
-    print(f"largest_component_edges\t{components[0].num_edges}")
+    print(f"components\t{count}")
+    print(f"largest_component_edges\t{edges.max(initial=0)}")
     return 0
 
 
@@ -244,7 +245,7 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 def cmd_evaluate_desirability(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     triples = select_triples(graph, args.n, args.seed)
-    params = _params_from(args, args.method)
+    params = _params_from(args)
     accuracy = desirability_experiment(
         graph, triples, Method(args.method), params, threads=args.threads
     )

@@ -41,16 +41,14 @@ def desirability(graph: ClickGraph, q1: NodeId, q2: NodeId) -> float:
     for node in (q1, q2):
         if node.kind is not NodeKind.QUERY:
             raise ValueError("desirability is defined between query nodes")
-    ads_q1 = {ad.index for ad, _ in graph.neighbors(q1)}
-    total = 0.0
-    count = 0
-    for ad, stats in graph.neighbors(q2):
-        count += 1
-        if ad.index in ads_q1:
-            total += stats.expected_click_rate
+    ads1, _ = graph._adjacency_row(q1)
+    ads2, weights2 = graph._adjacency_row(q2)
+    shared = weights2[np.isin(ads2, ads1, assume_unique=True)]
+    # a running sum in q2's ad order, not numpy's pairwise one
+    total = float(np.cumsum(shared)[-1]) if shared.size else 0.0
     if total == 0.0:
         return 0.0
-    return total / count
+    return total / ads2.size
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,8 @@ def _still_connected(
     seen_a = np.zeros(graph.num_ads, dtype=bool)
     seen_q[source.index] = True
     wanted = np.array([t.index for t in targets], dtype=np.int64)
-    lo, hi = by_query.indptr[source.index], by_query.indptr[source.index + 1]
-    ads = np.array(
-        [ad for ad in by_query.indices[lo:hi].tolist() if ad not in removed],
-        dtype=np.int64,
-    )
+    ads, _ = graph._adjacency_row(source)
+    ads = np.array([ad for ad in ads.tolist() if ad not in removed], dtype=np.int64)
     while not seen_q[wanted].all():
         if not ads.size:
             return False
@@ -128,11 +123,9 @@ def select_triples(
     rng = random.Random(seed)
     order = list(range(graph.num_queries))
     rng.shuffle(order)
-    by_query, by_ad = graph.query_adjacency, graph.ad_adjacency
 
     def ads_of(query: int) -> list[int]:
-        lo, hi = by_query.indptr[query], by_query.indptr[query + 1]
-        return by_query.indices[lo:hi].tolist()
+        return graph._adjacency_row(NodeId(NodeKind.QUERY, query))[0].tolist()
 
     triples: list[DesirabilityTriple] = []
     for q1_index in order:
@@ -140,7 +133,7 @@ def select_triples(
             break
         q1 = NodeId(NodeKind.QUERY, q1_index)
         ads1 = ads_of(q1_index)
-        pool = np.unique(_neighbors(by_ad, np.array(ads1, dtype=np.int64)))
+        pool = np.unique(_neighbors(graph.ad_adjacency, np.array(ads1, dtype=np.int64)))
         pool = pool[pool != q1_index].tolist()
         if len(pool) < 2:
             continue
@@ -198,7 +191,7 @@ def desirability_experiment(
     """
     method = Method(method)
     if params is None:
-        params = SimRankParams(method=method)
+        params = SimRankParams()
     if not triples:
         raise ValueError("no triples supplied")
 

@@ -102,17 +102,9 @@ def evidence_simrank(
     Runs the plain iteration, then scales the final query-side iterate by
     the evidence factor computed on the same graph.
     """
-    if params is None:
-        params = SimRankParams()
-    base = simrank(graph, params, threads=threads)
-    matrix = apply_evidence(
-        base.matrix, graph, kind, params.min_score_threshold
+    scores = simrank(graph, params, threads=threads)
+    scores.matrix = apply_evidence(
+        scores.matrix, graph, kind, scores.min_score_threshold
     )
-    return SimilarityScores(
-        query_labels=base.query_labels,
-        matrix=matrix,
-        iterations_run=base.iterations_run,
-        converged=base.converged,
-        method=Method.EVIDENCE.value,
-        min_score_threshold=params.min_score_threshold,
-    )
+    scores.method = Method.EVIDENCE.value
+    return scores

@@ -207,10 +207,6 @@ class ClickGraph:
         for i in range(self.num_queries):
             yield query_node(i)
 
-    def ads(self) -> Iterator[NodeId]:
-        for i in range(self.num_ads):
-            yield ad_node(i)
-
     # -- label lookup ----------------------------------------------------
 
     def query_id(self, label: str) -> NodeId:
@@ -260,9 +256,7 @@ class ClickGraph:
         return edges, self._eq[edges]
 
     def degree(self, node: NodeId) -> int:
-        self.label(node)  # bounds check
-        edges, _ = self._row(node)
-        return int(edges.size)
+        return int(self._adjacency_row(node)[0].size)
 
     def neighbors(self, node: NodeId) -> list[tuple[NodeId, EdgeStats]]:
         """Neighbors of ``node`` with edge statistics, ascending by index."""
@@ -276,6 +270,15 @@ class ClickGraph:
             )
             for e, j in zip(edges, nbrs)
         ]
+
+    def _adjacency_row(self, node: NodeId) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor indices, ascending, and edge weights of ``node``: views
+        of its adjacency row, which callers must not write to.  The node
+        is checked as :meth:`label` checks it."""
+        self.label(node)
+        rows = self.query_adjacency if node.kind is NodeKind.QUERY else self.ad_adjacency
+        lo, hi = rows.indptr[node.index], rows.indptr[node.index + 1]
+        return rows.indices[lo:hi], rows.data[lo:hi]
 
     def has_edge(self, query: NodeId, ad: NodeId) -> bool:
         self._check_pair(query, ad)
@@ -348,8 +351,7 @@ class ClickGraph:
         own entry order.  Common-ad scores, Pearson scores and their
         degenerate pairs, and the evidence factor all follow this order.
         """
-        binary = self.query_adjacency.copy()
-        binary.data = np.ones_like(binary.data)
+        binary = _pattern(self.query_adjacency)
         counts = (binary @ binary.T).tocoo()
         keep = counts.row < counts.col
         return sparse.coo_matrix(
@@ -364,6 +366,14 @@ class ClickGraph:
             f"ClickGraph(queries={self.num_queries}, ads={self.num_ads}, "
             f"edges={self.num_edges})"
         )
+
+
+def _pattern(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The 0/1 pattern of ``adjacency``: a copy with every stored weight
+    set to 1.0, zero weights included, since each one is an edge."""
+    out = adjacency.copy()
+    out.data = np.ones_like(out.data)
+    return out
 
 
 def _check_edge_stats(imp: int, clk: int, ecr: float, where: str) -> None:
@@ -723,6 +733,17 @@ def remove_edges(
     )
 
 
+def _component_labels(graph: ClickGraph) -> tuple[int, np.ndarray, np.ndarray]:
+    """Number of connected components, and the component of each node
+    (queries, then ads) and of each edge.  Isolated nodes are components
+    of their own."""
+    adj = sparse.bmat(
+        [[None, graph.query_adjacency], [graph.ad_adjacency, None]], format="csr"
+    )
+    count, labels = sparse.csgraph.connected_components(adj, directed=False)
+    return count, labels, labels[graph._eq]
+
+
 def extract_components(graph: ClickGraph) -> list[ClickGraph]:
     """Split ``graph`` into connected components.
 
@@ -735,18 +756,10 @@ def extract_components(graph: ClickGraph) -> list[ClickGraph]:
     if nq + na == 0:
         return []
 
-    adj = sparse.bmat(
-        [
-            [None, graph.query_adjacency],
-            [graph.ad_adjacency, None],
-        ],
-        format="csr",
-    )
-    n_comp, labels = sparse.csgraph.connected_components(adj, directed=False)
-    # ads are numbered after queries
+    n_comp, labels, edge_labels = _component_labels(graph)
     queries, q_local = _group_by(labels[:nq], n_comp)
     ads, a_local = _group_by(labels[nq:], n_comp)
-    edges, _ = _group_by(labels[graph._eq], n_comp)
+    edges, _ = _group_by(edge_labels, n_comp)
 
     out = [
         ClickGraph(

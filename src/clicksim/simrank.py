@@ -27,12 +27,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 from scipy import sparse
 
-from .graph import ClickGraph, NodeId, NodeKind, check_query_labels_writable
+from .graph import ClickGraph, NodeId, NodeKind, _pattern, check_query_labels_writable
 from .lines import LabelTable, format_lines
 
 _BLOCK_ROWS = 1024
@@ -73,6 +72,9 @@ class SimRankParams:
     would; with ``convergence_epsilon == 0`` every run does all
     ``max_iterations`` rounds.  Scores below ``min_score_threshold`` are
     discarded between rounds.
+
+    ``method`` is kept for callers that set it; the engine does not read
+    it, since each scoring function fixes its own method.
     """
 
     c1: float = 0.8
@@ -130,13 +132,6 @@ class SimilarityScores:
     @property
     def pair_count(self) -> int:
         return self.matrix.nnz // 2
-
-    def pairs(self) -> Iterator[tuple[int, int, float]]:
-        """Stored pairs as ``(i, j, score)`` with ``i < j``."""
-        coo = sparse.triu(self.matrix, k=1).tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for e in order:
-            yield int(coo.row[e]), int(coo.col[e]), float(coo.data[e])
 
     def row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and scores for one query, unsorted.
@@ -527,22 +522,87 @@ def _iterate(
     return current, iterations, converged
 
 
-def _row_normalized(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Binary adjacency scaled so each nonempty row sums to one."""
-    out = adjacency.copy()
-    out.data = np.ones_like(out.data)
-    degrees = np.diff(out.indptr)
-    scale = np.repeat(
-        np.divide(
-            1.0,
-            degrees,
-            out=np.zeros(degrees.shape, dtype=np.float64),
-            where=degrees > 0,
-        ),
-        degrees,
-    )
-    out.data = out.data * scale
+def _row_stats(weights: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Total and population variance of each CSR row's data (0.0 for an
+    empty row)."""
+    counts = np.diff(weights.indptr)
+    full = counts > 0
+    starts = weights.indptr[:-1][full]
+    totals, variances = np.zeros(counts.size), np.zeros(counts.size)
+    totals[full] = np.add.reduceat(weights.data, starts)
+    centered = weights.data - np.repeat(totals / np.maximum(counts, 1), counts)
+    variances[full] = np.add.reduceat(centered * centered, starts) / counts[full]
+    return totals, variances
+
+
+def _damped_shares(
+    weights: sparse.csr_matrix, totals: np.ndarray, spreads: np.ndarray
+) -> sparse.csr_matrix:
+    """``weights`` with each row divided by its total and each entry
+    multiplied by the spread of its column's node."""
+    inverse = np.divide(1.0, totals, out=np.zeros_like(totals), where=totals > 0)
+    out = weights.copy()
+    out.data = (
+        weights.data * np.repeat(inverse, np.diff(weights.indptr))
+    ) * spreads[weights.indices]
     return out
+
+
+def _transition_matrices(
+    graph: ClickGraph, w_q: sparse.csr_matrix, w_a: sparse.csr_matrix
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Transitions from queries to ads and from ads to queries.
+
+    ``w_q`` holds the edge weights by query and ``w_a`` by ad.  An edge
+    passes its share of its source node's total weight, damped by the
+    spread ``exp(-variance)`` of its target node's weights.  With every
+    weight 1, each spread is 1 and each share ``1 / degree``: plain
+    SimRank.  A node with edges whose weights total zero is an error.
+    """
+    q_tot, q_var = _row_stats(w_q)
+    a_tot, a_var = _row_stats(w_a)
+    bad = [
+        labels[i]
+        for weights, totals, labels in (
+            (w_q, q_tot, graph.query_labels),
+            (w_a, a_tot, graph.ad_labels),
+        )
+        for i in np.flatnonzero((np.diff(weights.indptr) > 0) & (totals <= 0.0))
+    ]
+    if bad:
+        offenders = ", ".join(repr(x) for x in bad[:10])
+        raise ValueError(
+            f"zero total incident weight on non-isolated nodes: {offenders}"
+        )
+    return (
+        _damped_shares(w_q, q_tot, np.exp(-a_var)),
+        _damped_shares(w_a, a_tot, np.exp(-q_var)),
+    )
+
+
+def _engine_scores(
+    graph: ClickGraph, params: SimRankParams | None, threads: int, method: Method
+) -> SimilarityScores:
+    """Scores of the simple method, on the 0/1 pattern of the edges, or
+    of the weighted one, on their click rates."""
+    if params is None:
+        params = SimRankParams()
+    if graph.num_queries == 0 and graph.num_ads == 0:
+        raise ValueError("cannot score an empty graph")
+    weights = (graph.query_adjacency, graph.ad_adjacency)
+    if method is Method.SIMPLE:
+        weights = tuple(map(_pattern, weights))
+    s_q, iterations, converged = _iterate(
+        *_transition_matrices(graph, *weights), params, threads
+    )
+    return SimilarityScores(
+        query_labels=graph.query_labels,
+        matrix=s_q,
+        iterations_run=iterations,
+        converged=converged,
+        method=method.value,
+        min_score_threshold=params.min_score_threshold,
+    )
 
 
 def simrank(
@@ -553,18 +613,4 @@ def simrank(
     Edge weights are ignored: each neighbor of a node contributes with
     the same averaging weight ``1 / degree``.
     """
-    if params is None:
-        params = SimRankParams()
-    if graph.num_queries == 0 and graph.num_ads == 0:
-        raise ValueError("cannot score an empty graph")
-    trans_q = _row_normalized(graph.query_adjacency)
-    trans_a = _row_normalized(graph.ad_adjacency)
-    s_q, iterations, converged = _iterate(trans_q, trans_a, params, threads)
-    return SimilarityScores(
-        query_labels=graph.query_labels,
-        matrix=s_q,
-        iterations_run=iterations,
-        converged=converged,
-        method=Method.SIMPLE.value,
-        min_score_threshold=params.min_score_threshold,
-    )
+    return _engine_scores(graph, params, threads, Method.SIMPLE)

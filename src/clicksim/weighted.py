@@ -20,16 +20,45 @@ import numpy as np
 from scipy import sparse
 
 from .evidence import EvidenceKind, apply_evidence
-from .graph import ClickGraph, NodeId, NodeKind
-from .simrank import Method, SimRankParams, SimilarityScores, _iterate
+from .graph import ClickGraph, NodeId, NodeKind, ad_node
+from .simrank import (
+    Method,
+    SimRankParams,
+    SimilarityScores,
+    _damped_shares,
+    _engine_scores,
+    _row_stats,
+)
+
+# The pointwise functions read one node's entry of the arrays that
+# ``simrank._transition_matrices`` builds, and check that node only.
+
+
+def _sides(
+    graph: ClickGraph, node: NodeId
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Weights by ``node``'s side and by the other side, once ``node`` is
+    known to lie in the graph and have edges."""
+    if not graph.degree(node):
+        raise ValueError(f"node {graph.label(node)!r} has no incident edges")
+    if node.kind is NodeKind.QUERY:
+        return graph.query_adjacency, graph.ad_adjacency
+    return graph.ad_adjacency, graph.query_adjacency
+
+
+def _totals(graph: ClickGraph, weights: sparse.csr_matrix, node: NodeId) -> np.ndarray:
+    """Row totals of ``weights``, once ``node``'s is known to be positive."""
+    totals, _ = _row_stats(weights)
+    if totals[node.index] <= 0.0:
+        raise ValueError(f"node {graph.label(node)!r} has zero total incident weight")
+    return totals
 
 
 def variance(graph: ClickGraph, node: NodeId) -> float:
     """Population variance of the expected click rates incident to ``node``."""
-    weights = [st.expected_click_rate for _, st in graph.neighbors(node)]
-    if not weights:
-        raise ValueError(f"node {graph.label(node)!r} has no incident edges")
-    return float(np.var(weights))
+    weights, _ = _sides(graph, node)
+    _, variances = _row_stats(weights)
+    return float(variances[node.index])
 
 
 def spread(graph: ClickGraph, node: NodeId) -> float:
@@ -43,12 +72,9 @@ def normalized_weight(graph: ClickGraph, source: NodeId, target: NodeId) -> floa
         stats = graph.edge_stats(source, target)
     else:
         stats = graph.edge_stats(target, source)
-    total = sum(st.expected_click_rate for _, st in graph.neighbors(source))
-    if total <= 0.0:
-        raise ValueError(
-            f"node {graph.label(source)!r} has zero total incident weight"
-        )
-    return stats.expected_click_rate / total
+    weights, _ = _sides(graph, source)
+    totals = _totals(graph, weights, source)
+    return float(stats.expected_click_rate * (1.0 / totals[source.index]))
 
 
 @dataclass
@@ -67,75 +93,18 @@ def transition_probabilities(graph: ClickGraph, node: NodeId) -> TransitionRow:
     ``spread(i) * normalized_weight(node, i)``; whatever the damping
     removes stays on the node itself, so the row always sums to one.
     """
-    nbrs = graph.neighbors(node)
-    if not nbrs:
-        raise ValueError(f"node {graph.label(node)!r} has no incident edges")
-    total = sum(st.expected_click_rate for _, st in nbrs)
-    if total <= 0.0:
-        raise ValueError(
-            f"node {graph.label(node)!r} has zero total incident weight"
-        )
-    out: dict[NodeId, float] = {}
-    for nbr, st in nbrs:
-        out[nbr] = spread(graph, nbr) * (st.expected_click_rate / total)
+    weights, other = _sides(graph, node)
+    totals = _totals(graph, weights, node)
+    _, variances = _row_stats(other)
+    trans = _damped_shares(weights, totals, np.exp(-variances))
+    lo, hi = trans.indptr[node.index], trans.indptr[node.index + 1]
+    kind = NodeKind.AD if node.kind is NodeKind.QUERY else NodeKind.QUERY
+    out = {
+        NodeId(kind, j): p
+        for j, p in zip(trans.indices[lo:hi].tolist(), trans.data[lo:hi].tolist())
+    }
     self_prob = max(0.0, 1.0 - sum(out.values()))
     return TransitionRow(node=node, out_probs=out, self_prob=self_prob)
-
-
-def _segment_variance(mat: sparse.csr_matrix) -> np.ndarray:
-    """Population variance of each CSR row's data (0.0 for empty rows)."""
-    if mat.nnz == 0:
-        return np.zeros(mat.shape[0])
-    counts = np.diff(mat.indptr)
-    sums = np.add.reduceat(mat.data, mat.indptr[:-1][counts > 0], axis=0)
-    means = np.zeros(mat.shape[0])
-    means[counts > 0] = sums / counts[counts > 0]
-    centered = mat.data - np.repeat(means, counts)
-    sq = np.zeros(mat.shape[0])
-    sq[counts > 0] = np.add.reduceat(
-        centered * centered, mat.indptr[:-1][counts > 0], axis=0
-    )
-    out = np.zeros(mat.shape[0])
-    out[counts > 0] = sq[counts > 0] / counts[counts > 0]
-    return out
-
-
-def _transition_matrices(
-    graph: ClickGraph,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Spread-damped, weight-normalized transition matrices for both sides."""
-    w_q = graph.query_adjacency  # queries x ads, ecr weights
-    w_a = graph.ad_adjacency  # ads x queries
-
-    q_tot = np.asarray(w_q.sum(axis=1)).ravel()
-    a_tot = np.asarray(w_a.sum(axis=1)).ravel()
-    q_deg = np.diff(w_q.indptr)
-    a_deg = np.diff(w_a.indptr)
-    bad_q = [
-        graph.query_labels[i]
-        for i in np.flatnonzero((q_deg > 0) & (q_tot <= 0.0))
-    ]
-    bad_a = [
-        graph.ad_labels[j] for j in np.flatnonzero((a_deg > 0) & (a_tot <= 0.0))
-    ]
-    if bad_q or bad_a:
-        offenders = ", ".join(repr(x) for x in (bad_q + bad_a)[:10])
-        raise ValueError(
-            f"zero total incident weight on non-isolated nodes: {offenders}"
-        )
-
-    spread_q = np.exp(-_segment_variance(w_q))
-    spread_a = np.exp(-_segment_variance(w_a))
-
-    trans_q = w_q.copy()
-    inv_q = np.divide(1.0, q_tot, out=np.zeros_like(q_tot), where=q_tot > 0)
-    trans_q.data = trans_q.data * np.repeat(inv_q, q_deg) * spread_a[trans_q.indices]
-
-    trans_a = w_a.copy()
-    inv_a = np.divide(1.0, a_tot, out=np.zeros_like(a_tot), where=a_tot > 0)
-    trans_a.data = trans_a.data * np.repeat(inv_a, a_deg) * spread_q[trans_a.indices]
-
-    return trans_q, trans_a
 
 
 def weighted_simrank(
@@ -155,22 +124,12 @@ def weighted_simrank(
     edge-removal evaluation disables it, because its protocol removes
     every common ad of the probed pairs and would zero both scores).
     """
-    if params is None:
-        params = SimRankParams()
-    if graph.num_queries == 0 and graph.num_ads == 0:
-        raise ValueError("cannot score an empty graph")
-    trans_q, trans_a = _transition_matrices(graph)
-    s_q, iterations, converged = _iterate(trans_q, trans_a, params, threads)
+    scores = _engine_scores(graph, params, threads, Method.WEIGHTED)
     if apply_evidence_factor:
-        s_q = apply_evidence(s_q, graph, kind, params.min_score_threshold)
-    return SimilarityScores(
-        query_labels=graph.query_labels,
-        matrix=s_q,
-        iterations_run=iterations,
-        converged=converged,
-        method=Method.WEIGHTED.value,
-        min_score_threshold=params.min_score_threshold,
-    )
+        scores.matrix = apply_evidence(
+            scores.matrix, graph, kind, scores.min_score_threshold
+        )
+    return scores
 
 
 # -- consistency ---------------------------------------------------------
@@ -227,20 +186,15 @@ def check_consistency(
     if samples < 0:
         raise ValueError("sample count cannot be negative")
     rng = random.Random(seed)
-    eligible = [
-        a for a in range(graph.num_ads)
-        if graph.degree(NodeId(NodeKind.AD, a)) >= 2
-    ]
+    eligible = np.flatnonzero(np.diff(graph.ad_adjacency.indptr) >= 2).tolist()
     if not eligible:
         return ConsistencyReport(0, 0, 0, ())
 
     def draw() -> tuple[int, list[tuple[int, float]]]:
         a = rng.choice(eligible)
-        nbrs = graph.neighbors(NodeId(NodeKind.AD, a))
-        picked = rng.sample(range(len(nbrs)), 2)
-        return a, [
-            (nbrs[p][0].index, nbrs[p][1].expected_click_rate) for p in picked
-        ]
+        queries, weights = graph._adjacency_row(ad_node(a))
+        picked = rng.sample(range(queries.size), 2)
+        return a, [(int(queries[p]), float(weights[p])) for p in picked]
 
     triggered = 0
     violations = 0

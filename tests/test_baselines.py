@@ -37,6 +37,21 @@ def test_common_ad_counts_on_demo(demo):
         assert common_ad_count(demo, demo.query_id(b), demo.query_id(a)) == expected
 
 
+@pytest.mark.parametrize("graph_seed", [42, 7])
+def test_common_ad_count_equals_the_neighbor_loop(graph_seed):
+    graph = generate_synthetic(600, 600, 1800, seed=graph_seed)
+    rng = np.random.default_rng(graph_seed)
+    co = graph.co_clicks
+    top = np.argsort(-co.data, kind="stable")[:3000]
+    pairs = rng.integers(graph.num_queries, size=(3000, 2)).tolist()
+    pairs += list(zip(co.row[top].tolist(), co.col[top].tolist()))
+    for i, j in pairs:
+        q, q2 = query_node(i), query_node(j)
+        ads = {ad.index for ad, _ in graph.neighbors(q)}
+        want = sum(1 for ad, _ in graph.neighbors(q2) if ad.index in ads)
+        assert common_ad_count(graph, q, q2) == want
+
+
 def test_common_ad_count_rejects_ad_nodes(demo):
     with pytest.raises(ValueError, match="between queries"):
         common_ad_count(demo, demo.query_id("pc"), demo.ad_id("hp.com"))

@@ -4,7 +4,13 @@ import re
 
 import pytest
 
-from clicksim.graph import demo_graph, generate_synthetic, save_graph
+from clicksim.graph import (
+    demo_graph,
+    extract_components,
+    generate_synthetic,
+    load_graph,
+    save_graph,
+)
 from clicksim.rewrite import read_rewrites
 from conftest import planted_skew_graph, run_cli
 
@@ -36,6 +42,25 @@ def test_ingest_check_summary(demo_file):
     assert "edges\t8" in lines
     assert "components\t2" in lines
     assert "largest_component_edges\t6" in lines
+
+
+def test_ingest_check_counts_equal_the_built_components(tmp_path, demo_file):
+    # a one-edge component first, so the largest is not the first found
+    path = tmp_path / "graph.tsv"
+    path.write_text("solo\tx\t10\t1\t0.100000\n" + demo_file.read_text())
+    lines = run_cli("ingest-check", path).stdout.splitlines()
+    components = extract_components(load_graph(path))
+    assert lines[-2:] == [
+        f"components\t{len(components)}",
+        f"largest_component_edges\t{components[0].num_edges}",
+    ] == ["components\t3", "largest_component_edges\t6"]
+
+
+def test_ingest_check_file_without_edges(tmp_path):
+    path = tmp_path / "empty.tsv"
+    path.write_text("# no edges yet\n")
+    lines = run_cli("ingest-check", path).stdout.splitlines()
+    assert lines[-2:] == ["components\t0", "largest_component_edges\t0"]
 
 
 def test_ingest_check_missing_file(tmp_path):

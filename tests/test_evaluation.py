@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 
 from clicksim import evaluation
@@ -63,6 +64,37 @@ def test_desirability_on_planted_gadget():
 def test_desirability_requires_query_nodes(demo):
     with pytest.raises(ValueError, match="query nodes"):
         desirability(demo, demo.query_id("pc"), demo.ad_id("hp.com"))
+
+
+def _reference_desirability(graph, q1, q2):
+    # the neighbors() loop the CSR row slices replaced
+    ads_q1 = {ad.index for ad, _ in graph.neighbors(q1)}
+    total = 0.0
+    count = 0
+    for ad, stats in graph.neighbors(q2):
+        count += 1
+        if ad.index in ads_q1:
+            total += stats.expected_click_rate
+    if total == 0.0:
+        return 0.0
+    return total / count
+
+
+@pytest.mark.parametrize("graph_seed", [42, 7])
+def test_desirability_equals_the_neighbor_loop(graph_seed):
+    graph = generate_synthetic(600, 600, 1800, seed=graph_seed)
+    rng = random.Random(graph_seed)
+    # random pairs mostly share nothing, so the 3000 pairs sharing the most
+    # ads join them; from 8 shared ads on, numpy's own sum would round
+    # differently from the loop's running sum
+    co = graph.co_clicks
+    top = np.argsort(-co.data, kind="stable")[:3000]
+    pairs = [(rng.randrange(600), rng.randrange(600)) for _ in range(3000)]
+    pairs += list(zip(co.row[top].tolist(), co.col[top].tolist()))
+    for i, j in pairs:
+        for a, b in ((i, j), (j, i)):
+            q1, q2 = query_node(a), query_node(b)
+            assert desirability(graph, q1, q2) == _reference_desirability(graph, q1, q2)
 
 
 # -- triple selection --------------------------------------------------------

@@ -25,10 +25,10 @@ from clicksim.simrank import (
     SimilarityScores,
     SimRankParams,
     _blocked_product,
-    _row_normalized,
+    _transition_matrices,
     simrank,
 )
-from clicksim.weighted import _transition_matrices, weighted_simrank
+from clicksim.weighted import weighted_simrank
 from conftest import sim_by_label
 
 # the package exports the function ``simrank`` under the module's name
@@ -232,6 +232,25 @@ def _reference_cleanup(mat, threshold):
     )
 
 
+def _row_normalized(adjacency):
+    """Binary adjacency scaled so each nonempty row sums to one: plain
+    SimRank's transitions, written without the engine's builder."""
+    out = adjacency.copy()
+    out.data = np.ones_like(out.data)
+    degrees = np.diff(out.indptr)
+    scale = np.repeat(
+        np.divide(
+            1.0,
+            degrees,
+            out=np.zeros(degrees.shape, dtype=np.float64),
+            where=degrees > 0,
+        ),
+        degrees,
+    )
+    out.data = out.data * scale
+    return out
+
+
 def _two_sided_reference(trans_q, trans_a, params, threads=1):
     """Refresh both sides every round; the query iterate of each round."""
     nq, na = trans_q.shape
@@ -270,7 +289,11 @@ def _check_chain_against_reference(graph, max_k, threads=1):
         params,
         threads,
     )
-    weighted = _two_sided_reference(*_transition_matrices(graph), params, threads)
+    weighted = _two_sided_reference(
+        *_transition_matrices(graph, graph.query_adjacency, graph.ad_adjacency),
+        params,
+        threads,
+    )
     for k in range(1, max_k + 1):
         fixed = SimRankParams(max_iterations=k, convergence_epsilon=0.0)
         got = simrank(graph, fixed, threads=threads)

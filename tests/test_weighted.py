@@ -7,9 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clicksim.baselines import common_ad_count
+from clicksim.evaluation import desirability
 from clicksim.evidence import evidence_simrank
-from clicksim.graph import ClickGraph, query_node
-from clicksim.simrank import Method, SimRankParams, simrank
+from clicksim.graph import (
+    ClickGraph,
+    NodeKind,
+    ad_node,
+    demo_graph,
+    generate_synthetic,
+    query_node,
+)
+from clicksim.simrank import (
+    Method,
+    SimRankParams,
+    _row_stats,
+    _transition_matrices,
+    simrank,
+)
 from clicksim.weighted import (
     check_consistency,
     normalized_weight,
@@ -27,8 +42,7 @@ def exact_params(k=10):
     )
 
 
-@pytest.fixture
-def worked_example():
+def _worked_example():
     # q spends 0.3/0.1 across two ads; each ad's incident weights differ
     # by 0.2, giving both ads the same mild variance of 0.01
     return ClickGraph.from_records(
@@ -39,6 +53,11 @@ def worked_example():
             ("p", "j", 100, 30, 0.3),
         ]
     )
+
+
+@pytest.fixture
+def worked_example():
+    return _worked_example()
 
 
 def test_variance_examples(worked_example, demo):
@@ -107,6 +126,149 @@ def test_transition_rows_always_sum_to_one(worked_example):
         assert total == pytest.approx(1.0, abs=1e-12)
         assert row.self_prob >= 0.0
         assert all(p >= 0.0 for p in row.out_probs.values())
+
+
+# -- the pointwise functions as views of the engine's transitions ------------
+
+
+def _reference_variance(graph, node):
+    weights = [st.expected_click_rate for _, st in graph.neighbors(node)]
+    if not weights:
+        raise ValueError(f"node {graph.label(node)!r} has no incident edges")
+    return float(np.var(weights))
+
+
+def _reference_normalized_weight(graph, source, target):
+    if source.kind is NodeKind.QUERY:
+        stats = graph.edge_stats(source, target)
+    else:
+        stats = graph.edge_stats(target, source)
+    total = sum(st.expected_click_rate for _, st in graph.neighbors(source))
+    return stats.expected_click_rate / total
+
+
+def _reference_transition_row(graph, node):
+    nbrs = graph.neighbors(node)
+    total = sum(st.expected_click_rate for _, st in nbrs)
+    out = {
+        nbr: float(np.exp(-_reference_variance(graph, nbr)))
+        * (st.expected_click_rate / total)
+        for nbr, st in nbrs
+    }
+    return out, max(0.0, 1.0 - sum(out.values()))
+
+
+def _nodes_with_edges(graph):
+    for kind, adjacency in (
+        (NodeKind.QUERY, graph.query_adjacency),
+        (NodeKind.AD, graph.ad_adjacency),
+    ):
+        for i in np.flatnonzero(np.diff(adjacency.indptr)).tolist():
+            yield kind, adjacency, i
+
+
+_VIEW_GRAPHS = [
+    pytest.param(_worked_example, id="worked"),
+    pytest.param(demo_graph, id="demo"),
+    pytest.param(lambda: generate_synthetic(600, 600, 1800, seed=42), id="600-s42"),
+]
+
+
+@pytest.mark.parametrize("make_graph", _VIEW_GRAPHS)
+def test_pointwise_views_equal_the_engine_transitions(make_graph):
+    graph = make_graph()
+    engine = dict(
+        zip(
+            (NodeKind.QUERY, NodeKind.AD),
+            _transition_matrices(graph, graph.query_adjacency, graph.ad_adjacency),
+        )
+    )
+    for kind, adjacency, i in _nodes_with_edges(graph):
+        node = query_node(i) if kind is NodeKind.QUERY else ad_node(i)
+        assert variance(graph, node) == _row_stats(adjacency)[1][i]
+        row = transition_probabilities(graph, node)
+        lo, hi = engine[kind].indptr[i], engine[kind].indptr[i + 1]
+        assert [n.index for n in row.out_probs] == engine[kind].indices[lo:hi].tolist()
+        assert list(row.out_probs.values()) == engine[kind].data[lo:hi].tolist()
+
+
+@pytest.mark.parametrize("make_graph", _VIEW_GRAPHS)
+def test_pointwise_views_match_the_neighbor_loops(make_graph):
+    graph = make_graph()
+    for kind, _, i in _nodes_with_edges(graph):
+        node = query_node(i) if kind is NodeKind.QUERY else ad_node(i)
+        want = _reference_variance(graph, node)
+        assert variance(graph, node) == pytest.approx(want, abs=1e-12)
+        assert spread(graph, node) == pytest.approx(math.exp(-want), abs=1e-12)
+        out, self_prob = _reference_transition_row(graph, node)
+        row = transition_probabilities(graph, node)
+        assert list(row.out_probs) == list(out)
+        for nbr, p in out.items():
+            assert row.out_probs[nbr] == pytest.approx(p, abs=1e-12)
+            assert normalized_weight(graph, node, nbr) == pytest.approx(
+                _reference_normalized_weight(graph, node, nbr), abs=1e-12
+            )
+        assert row.self_prob == pytest.approx(self_prob, abs=1e-12)
+
+
+def test_pointwise_functions_raise_only_for_the_node_asked_about():
+    # q1's only edge weighs zero and "lonely" has no edge at all
+    g = ClickGraph(
+        ["q1", "q2", "lonely"], ["a", "b"],
+        [0, 1, 1], [0, 0, 1], [100] * 3, [0, 50, 30], [0.0, 0.5, 0.3],
+    )
+    q1, q2, lonely = query_node(0), query_node(1), query_node(2)
+    for fn in (
+        lambda: transition_probabilities(g, q1),
+        lambda: normalized_weight(g, q1, ad_node(0)),
+    ):
+        with pytest.raises(ValueError, match="'q1' has zero total incident weight"):
+            fn()
+    for fn in (variance, spread, transition_probabilities):
+        with pytest.raises(ValueError, match="'lonely' has no incident edges"):
+            fn(g, lonely)
+    assert variance(g, q1) == 0.0 and spread(g, q1) == 1.0
+    row = transition_probabilities(g, q2)
+    assert row.self_prob + sum(row.out_probs.values()) == pytest.approx(1.0)
+    assert normalized_weight(g, q2, ad_node(0)) == pytest.approx(0.5 / 0.8)
+    assert normalized_weight(g, ad_node(0), q1) == 0.0
+    assert set(transition_probabilities(g, ad_node(0)).out_probs) == {q1, q2}
+
+
+def _other(node, q, a):
+    return a if node.kind is NodeKind.QUERY else q
+
+
+# (name, node kinds it takes, call on graph, node, a query and an ad)
+_CSR_VIEWS = [
+    ("degree", "qa", lambda g, n, q, a: g.degree(n)),
+    ("variance", "qa", lambda g, n, q, a: variance(g, n)),
+    ("spread", "qa", lambda g, n, q, a: spread(g, n)),
+    ("transitions", "qa", lambda g, n, q, a: transition_probabilities(g, n)),
+    ("weight-source", "qa", lambda g, n, q, a: normalized_weight(g, n, _other(n, q, a))),
+    ("weight-target", "qa", lambda g, n, q, a: normalized_weight(g, _other(n, q, a), n)),
+    ("desirability-q1", "q", lambda g, n, q, a: desirability(g, n, q)),
+    ("desirability-q2", "q", lambda g, n, q, a: desirability(g, q, n)),
+    ("common-q", "q", lambda g, n, q, a: common_ad_count(g, n, q)),
+    ("common-q2", "q", lambda g, n, q, a: common_ad_count(g, q, n)),
+]
+
+
+@pytest.mark.parametrize(
+    "view, make_node",
+    [
+        pytest.param(view, make_node, id=f"{name}-{tag}")
+        for name, kinds, view in _CSR_VIEWS
+        for tag, make_node in (("q", query_node), ("a", ad_node))
+        if tag in kinds
+    ],
+)
+@pytest.mark.parametrize("index", [-1, -5, 5, 99])
+def test_csr_views_reject_indices_outside_the_graph(demo, view, make_node, index):
+    # demo has 5 queries and 4 ads; a negative index must not wrap around
+    # to another node's row
+    with pytest.raises(ValueError):
+        view(demo, make_node(index), demo.query_id("camera"), demo.ad_id("hp.com"))
 
 
 def test_zero_weight_node_rejected():
@@ -202,18 +364,30 @@ def test_weighted_scores_bounded_symmetric(twin_graph):
 def test_plain_scores_violate_consistency_on_twins(twin_graph):
     plain = simrank(twin_graph, exact_params())
     report = check_consistency(twin_graph, plain, samples=200, seed=0)
-    assert report.triggered > 0
-    assert report.violations > 0
+    assert (report.triggered, report.violations) == (20, 20)
     # witness list is capped at ten entries to keep reports readable
     assert len(report.witnesses) == min(report.violations, 10)
     assert all(w.scores[0] <= w.scores[1] for w in report.witnesses)
+    # the draws, pinned: the order each pair came out of the sampler
+    assert [w.pair_one[0] for w in report.witnesses] == [
+        "flower", "blossom", "blossom", "blossom", "blossom",
+        "flower", "blossom", "flower", "flower", "blossom",
+    ]
+    assert {(w.ads, w.pair_two) for w in report.witnesses} == {
+        (("orchids.com", "teleflora.com"), ("petals", "bouquet"))
+    }
 
 
 def test_weighted_scores_stay_consistent_on_twins(twin_graph):
     weighted = weighted_simrank(twin_graph, exact_params(), apply_evidence_factor=False)
     report = check_consistency(twin_graph, weighted, samples=200, seed=0)
-    assert report.triggered > 0
-    assert report.violations == 0
+    assert (report.triggered, report.violations) == (20, 0)
+
+
+# triggered comparisons per seed; pins the checker's random draws
+STAR_UNION_TRIGGERED = [
+    65, 50, 36, 54, 66, 50, 54, 47, 46, 63, 50, 51, 48, 46, 44, 61, 37, 53, 52, 51,
+]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -222,6 +396,49 @@ def test_weighted_scores_consistent_on_random_star_unions(seed):
     weighted = weighted_simrank(graph, exact_params(), apply_evidence_factor=False)
     report = check_consistency(graph, weighted, samples=200, seed=seed)
     assert report.violations == 0
+    assert report.triggered == STAR_UNION_TRIGGERED[seed]
+
+
+def test_consistency_reports_pinned_on_a_seeded_graph():
+    graph = generate_synthetic(600, 600, 1800, seed=42)
+    params = SimRankParams(max_iterations=7, convergence_epsilon=0.0)
+    shared = [
+        (("a454", "a175"), ("q320", "q186"), ("q184", "q23")),
+        (("a323", "a447"), ("q438", "q303"), ("q302", "q586")),
+        (("a588", "a175"), ("q322", "q385"), ("q184", "q23")),
+        (("a8", "a241"), ("q2", "q28"), ("q110", "q17")),
+        (("a374", "a466"), ("q347", "q300"), ("q489", "q396")),
+    ]
+    expected = {
+        simrank: (61, 30, [
+            (("a48", "a425"), ("q0", "q1"), ("q339", "q306")),
+            shared[0],
+            shared[1],
+            shared[2],
+            shared[3],
+            shared[4],
+            (("a358", "a403"), ("q301", "q304"), ("q331", "q380")),
+            (("a90", "a350"), ("q7", "q64"), ("q318", "q368")),
+            (("a317", "a78"), ("q318", "q300"), ("q282", "q130")),
+            (("a485", "a215"), ("q301", "q65"), ("q132", "q150")),
+        ]),
+        weighted_simrank: (61, 23, [
+            (("a331", "a491"), ("q340", "q300"), ("q5", "q378")),
+            shared[0],
+            (("a449", "a310"), ("q300", "q527"), ("q302", "q301")),
+            shared[1],
+            shared[2],
+            shared[3],
+            shared[4],
+            (("a90", "a350"), ("q7", "q64"), ("q318", "q368")),
+            (("a317", "a78"), ("q318", "q300"), ("q282", "q130")),
+            (("a62", "a148"), ("q18", "q64"), ("q1", "q126")),
+        ]),
+    }
+    for score, (triggered, violations, witnesses) in expected.items():
+        report = check_consistency(graph, score(graph, params), samples=300, seed=5)
+        assert (report.triggered, report.violations) == (triggered, violations)
+        assert [(w.ads, w.pair_one, w.pair_two) for w in report.witnesses] == witnesses
 
 
 def test_uniform_graph_is_vacuously_consistent(demo):
