@@ -22,8 +22,18 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import sparse
 
-from .lines import LabelTable, format_lines
+from .lines import (
+    _LABEL_WIDTH,
+    LabelTable,
+    byte_chunks,
+    format_lines,
+    label_keys,
+    parse_floats,
+    parse_ints,
+    split_fields,
+)
 
+_READ_CHUNK_BYTES = 1 << 20
 _WRITE_CHUNK_EDGES = 65536
 
 
@@ -395,7 +405,24 @@ def load_graph(path: str | Path) -> ClickGraph:
     Blank lines and lines starting with ``#`` are ignored.  Malformed
     lines and duplicate edges raise :class:`GraphFormatError` naming the
     first offending line.
+
+    The file is read a byte chunk at a time and parsed in bulk by
+    :mod:`~clicksim.lines`.  A chunk it cannot prove it reads as the
+    per-line loader does (a ``\\r`` or NUL byte, bytes that are not
+    UTF-8, a label longer than 64 bytes) and any fault send the whole
+    file to the per-line loader, which also names the fault.
     """
+    parts = []
+    for chunk in byte_chunks(path, _READ_CHUNK_BYTES):
+        part = _bulk_edge_chunk(chunk)
+        if part is None:
+            return _load_per_line(path)
+        parts.append(part)
+    graph = _edges_graph(parts)
+    return _load_per_line(path) if graph is None else graph
+
+
+def _load_per_line(path) -> ClickGraph:
     with open(path, encoding="utf-8") as fh:
         return ClickGraph._from_located(_located_records(fh))
 
@@ -403,7 +430,7 @@ def load_graph(path: str | Path) -> ClickGraph:
 def _located_records(fh) -> Iterator[tuple[str, tuple[str, str, int, int, float]]]:
     for lineno, line in enumerate(fh, start=1):
         line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        if _is_graph_comment(line):
             continue
         fields = line.split("\t")
         if len(fields) != 5:
@@ -420,6 +447,68 @@ def _located_records(fh) -> Iterator[tuple[str, tuple[str, str, int, int, float]
                 f"line {lineno}: non-numeric impressions/clicks/ecr"
             ) from None
         yield f"line {lineno}", (query, ad, imp, clk, ecr)
+
+
+def _is_graph_comment(line: str) -> bool:
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+def _bulk_edge_chunk(chunk: bytes):
+    """``(query keys, ad keys, impressions, clicks, ecr)`` of a chunk's
+    edges, the labels raw as zero-padded ``bytes`` keys, or ``None``
+    where :mod:`~clicksim.lines` cannot prove the chunk reads as
+    :func:`_located_records` reads it, a line is malformed or a label is
+    longer than 64 bytes."""
+    fields = split_fields(chunk, 5, _is_graph_comment)
+    if fields is None:
+        return None
+    longest = int((fields.ends[:, :2] - fields.starts[:, :2]).max(initial=1))
+    if longest > _LABEL_WIDTH:
+        return None
+    width = -(-longest // 8) * 8
+    keys = [
+        label_keys(fields, column, width)[0].view(f"S{width}").ravel()
+        for column in (0, 1)
+    ]
+    numbers = (parse_ints(fields, 2), parse_ints(fields, 3), parse_floats(fields, 4))
+    if any(column is None for column in numbers):
+        return None
+    return (*keys, *numbers)
+
+
+def _edges_graph(parts) -> ClickGraph | None:
+    """The graph of the edge columns of ``parts``, or ``None`` if a label
+    is empty, a count or rate is out of range or an edge is listed
+    twice; labels are canonicalized as :meth:`ClickGraph.from_records`
+    does, and nodes indexed in order of first appearance."""
+    if not parts:
+        return ClickGraph._from_located([])
+    q_keys, a_keys, imp, clk, ecr = (np.concatenate(column) for column in zip(*parts))
+    queries = _first_seen(q_keys, canonical_label)
+    ads = _first_seen(a_keys, str.strip)
+    if queries is None or ads is None:
+        return None
+    (q_labels, q_idx), (a_labels, a_idx) = queries, ads
+    bad = (imp < 0) | (clk < 0) | (clk > imp)
+    bad |= ~np.isfinite(ecr) | (ecr < 0.0) | (ecr > 1.0)
+    if bad.any() or np.unique(q_idx * len(a_labels) + a_idx).size < q_idx.size:
+        return None
+    return ClickGraph(q_labels, a_labels, q_idx, a_idx, imp, clk, ecr)
+
+
+def _first_seen(keys: np.ndarray, clean) -> tuple[list[str], np.ndarray] | None:
+    """The distinct labels ``clean`` makes of the raw ``keys``, in order of
+    first appearance, and each key's label index; ``None`` if one is
+    empty.  ``clean`` runs once per distinct raw key."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    index = np.empty(distinct.size, dtype=np.int64)
+    seen: dict[str, int] = {}
+    for k in np.argsort(first).tolist():
+        label = clean(distinct[k].decode("utf-8"))
+        if not label:
+            return None
+        index[k] = seen.setdefault(label, len(seen))
+    return list(seen), index[inverse]
 
 
 def check_query_labels_writable(labels: Iterable[str]) -> None:

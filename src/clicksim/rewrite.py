@@ -223,9 +223,34 @@ def write_rewrites(lists: Iterable[RewriteList], destination) -> None:
 
 
 def read_rewrites(path: str | Path) -> list[RewriteList]:
-    """Parse a rewrite file back into per-query lists (file order kept)."""
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
-    order: list[str] = []
+    """Parse a rewrite file back into per-query lists (file order kept).
+
+    A query's lines must be contiguous, list each rewrite once and hold
+    the ranks 1 to n in any order.  A line without 4 fields, a rank or
+    score that is not a number, a query whose lines are split by another
+    query's, a rewrite listed twice for one query and a missing or
+    repeated rank are errors naming the file and the offending line.
+    """
+    out = []
+    seen: set[str] = set()  # queries whose lines are done
+    # the current query's (line number, rank, rewrite, score) and rewrites
+    entries: list[tuple[int, int, str, float]] = []
+    listed: set[str] = set()
+
+    def close(query):
+        entries.sort(key=lambda entry: entry[1])
+        for expected, (lineno, rank, _, _) in enumerate(entries, start=1):
+            if rank != expected:
+                raise ValueError(
+                    f"{path}:{lineno}: non-contiguous ranks for query {query!r}"
+                )
+        rewrites = tuple((rewrite, score) for _, _, rewrite, score in entries)
+        out.append(RewriteList(query=query, rewrites=rewrites))
+        seen.add(query)
+        entries.clear()
+        listed.clear()
+
+    query = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -234,25 +259,28 @@ def read_rewrites(path: str | Path) -> list[RewriteList]:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            query, rank_s, rewrite, score_s = fields
+            label, rank_s, rewrite, score_s = fields
             try:
                 rank = int(rank_s)
                 score = float(score_s)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad rank or score") from None
-            if query not in per_query:
-                per_query[query] = []
-                order.append(query)
-            per_query[query].append((rank, rewrite, score))
-    out = []
-    for query in order:
-        entries = sorted(per_query[query])
-        ranks = [r for r, _, _ in entries]
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise ValueError(f"non-contiguous ranks for query {query!r}")
-        out.append(
-            RewriteList(
-                query=query, rewrites=tuple((rw, sc) for _, rw, sc in entries)
-            )
-        )
+            if label != query:
+                if query is not None:
+                    close(query)
+                if label in seen:
+                    raise ValueError(
+                        f"{path}:{lineno}: lines of query {label!r} are split "
+                        "by other queries' lines"
+                    )
+                query = label
+            if rewrite in listed:
+                raise ValueError(
+                    f"{path}:{lineno}: rewrite {rewrite!r} listed twice for "
+                    f"query {label!r}"
+                )
+            listed.add(rewrite)
+            entries.append((lineno, rank, rewrite, score))
+    if query is not None:
+        close(query)
     return out

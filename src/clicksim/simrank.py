@@ -25,17 +25,24 @@ import enum
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from .graph import ClickGraph, NodeId, NodeKind, _pattern, check_query_labels_writable
-from .lines import LabelTable, format_lines
+from .lines import (
+    LabelIndex,
+    LabelTable,
+    byte_chunks,
+    format_lines,
+    parse_floats,
+    split_fields,
+    text_lines,
+)
 
 _BLOCK_ROWS = 1024
-_READ_CHUNK_LINES = 4096
+_READ_CHUNK_BYTES = 1 << 20
 _WRITE_CHUNK_PAIRS = 65536
 
 
@@ -195,8 +202,8 @@ class SimilarityScores:
     def read(cls, path: str | Path, graph: ClickGraph) -> "SimilarityScores":
         """Load a score dump produced by :meth:`write` against ``graph``.
 
-        The file is read a chunk of lines at a time into numpy arrays.
-        A line without 3 tab-separated fields, an unknown query label, a
+        The file is read a byte chunk at a time into numpy arrays.  A
+        line without 3 tab-separated fields, an unknown query label, a
         score that is not a number, a query paired with itself, a score
         that is not finite or lies outside the declared method's range,
         a pair listed twice (in either label order) and a ``# method=``
@@ -204,53 +211,18 @@ class SimilarityScores:
         offending line in the file, rather than being merged into the
         table.
         """
-        method = Method.SIMPLE.value
-        parts = []
-        fault = None
-        with open(path, encoding="utf-8") as fh:
-            first = 1
-            while fault is None:
-                lines = list(islice(fh, _READ_CHUNK_LINES))
-                part, declared, fault = _parse_dump_chunk(lines, first, graph)
-                parts.append(part)
-                method = declared or method
-                if len(lines) < _READ_CHUNK_LINES:
-                    break
-                first += len(lines)
-        rows, cols, vals, linenos = map(np.concatenate, zip(*parts))
-        del parts
-        n = graph.num_queries
-        keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
-        order = np.argsort(keys, kind="stable")
-        repeated = np.zeros(keys.size, dtype=bool)
-        repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        del keys, order
-        low, high = _SCORE_RANGES[method]
-        faults = [fault] if fault is not None else []
-        faults += [
-            (int(linenos[np.argmax(bad)]), what)
-            for bad, what in (
-                (rows == cols, "query paired with itself"),
-                (~np.isfinite(vals), "score is not finite"),
-                (
-                    (vals < low) | (vals > high),
-                    f"score outside [{low:g}, {high:g}] for method={method}",
-                ),
-                (repeated, "pair listed twice"),
-            )
-            if bad.any()
-        ]
-        if faults:
-            lineno, what = min(faults, key=lambda f: f[0])
-            raise ValueError(f"{path}:{lineno}: {what}")
-        del linenos, repeated
-        matrix = sparse.csr_matrix(
-            (
-                np.concatenate((vals, vals)),
-                (np.concatenate((rows, cols)), np.concatenate((cols, rows))),
-            ),
-            shape=(n, n),
+        rows, cols, vals, _, method, fault = _scan(
+            path, graph, LabelIndex(graph.query_labels)
         )
+        matrix = None
+        if fault is None and not any(
+            bad.any() for bad, _ in _table_faults(rows, cols, vals, method)
+        ):
+            matrix = _symmetric(rows, cols, vals, graph.num_queries)
+        if matrix is None:
+            # a fault somewhere: read again, line by line, to name it
+            rows, cols, vals, method = _checked_pairs(path, graph)
+            matrix = _symmetric(rows, cols, vals, graph.num_queries)
         return cls(
             query_labels=graph.query_labels,
             matrix=matrix,
@@ -265,108 +237,200 @@ def printed_score(score: float) -> float:
     return float(f"{score:.6f}")
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _is_dump_comment(line: str) -> bool:
+    return line.startswith("#") or line.isspace()
 
 
-def _parse_dump_chunk(
-    lines: list[str], first: int, graph: ClickGraph
-) -> tuple[tuple[np.ndarray, ...], str | None, tuple[int, str] | None]:
-    """Parse dump lines numbered from ``first``.
+def _declared_method(lines: list[str], first: int):
+    """The method the last ``# method=`` line among ``lines`` declares
+    (``None`` if there is none), and the fault of the first line naming
+    no known method as ``(line number, message)``, or ``None``.  The
+    lines are numbered from ``first``; the scan stops at a fault."""
+    declared = None
+    for i, line in enumerate(lines):
+        if line.startswith("# method="):
+            name = line.split("=", 1)[1].strip()
+            if name not in _SCORE_RANGES:
+                return declared, (first + i, f"unknown method {name!r}")
+            declared = name
+    return declared, None
 
-    Returns ``(rows, cols, scores, line numbers)`` of the pairs read,
-    the method the last ``# method=`` line declares (``None`` if there
-    is none) and the chunk's first parse fault as ``(line number,
+
+def _index_type(graph: ClickGraph):
+    """The index type a CSR matrix of the graph's score table uses."""
+    return np.int32 if graph.num_queries < 2**31 else np.int64
+
+
+def _query_index(graph: ClickGraph, text: str) -> int:
+    """Index of the query ``text`` names, canonicalized if need be."""
+    found = graph._q_index.get(text)
+    return graph.query_id(text).index if found is None else found
+
+
+def _parse_dump_lines(lines: list[str], first: int, graph: ClickGraph):
+    """Parse dump lines numbered from ``first``, one at a time.
+
+    This is the reader of every chunk the bulk reader cannot prove it
+    reads the same way, and of the whole file when there is a fault to
+    name.  Returns ``(rows, cols, scores, line numbers)`` of the pairs
+    read, the method the last ``# method=`` line declares (``None`` if
+    there is none) and the chunk's first parse fault as ``(line number,
     message)``, or ``None``.  Pairs are read up to the first line that
     cannot be parsed into one; pairs after a fault can only be faulty at
     later lines, so they never change which fault the caller reports.
     The checks that need the whole table are left to the caller.
     """
-    if lines and not lines[-1].endswith("\n"):
-        lines[-1] += "\n"  # the last line of a file may lack it
+    declared, fault = _declared_method(lines, first)
+    rows, cols, vals, numbers = [], [], [], []
+    for lineno, line in enumerate(lines, start=first):
+        if fault is not None and fault[0] < lineno:
+            break
+        if _is_dump_comment(line):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            fault = (lineno, "expected 3 tab-separated fields")
+            break
+        try:
+            row, col = (_query_index(graph, text) for text in fields[:2])
+        except ValueError as exc:
+            fault = (lineno, str(exc))
+            break
+        try:
+            vals.append(float(fields[2]))
+        except ValueError:
+            fault = (lineno, "score is not a number")
+            break
+        rows.append(row)
+        cols.append(col)
+        numbers.append(lineno)
+    index_type = _index_type(graph)
+    part = (
+        np.array(rows, dtype=index_type),
+        np.array(cols, dtype=index_type),
+        np.array(vals, dtype=np.float64),
+        np.array(numbers, dtype=np.int64),
+    )
+    return part, declared, fault
 
-    # Nearly every chunk holds data lines only, so first parse it as such.
-    # A comment line shows as a '#' after a line break, and a blank line
-    # always faults (it has no 3 fields, or no number as the third), so a
-    # chunk that may hold either is parsed again below, skipping them.
-    joined = "\t".join(lines)
-    if not (joined.startswith("#") or "\n\t#" in joined):
-        part, faults = _parse_pairs(joined, lines, range(len(lines)), first, graph)
-        if not faults:
-            return part, None, None
 
-    declared = None
-    faults = []
-    data = [
-        i for i, line in enumerate(lines)
-        if not (line.startswith("#") or line.isspace())
-    ]
-    if len(data) < len(lines):
-        for i, line in enumerate(lines):
-            if line.startswith("# method="):
-                name = line.split("=", 1)[1].strip()
-                if name not in _SCORE_RANGES:
-                    faults.append((first + i, f"unknown method {name!r}"))
-                    break
-                declared = name
-        lines = [lines[i] for i in data]
-    part, more = _parse_pairs("\t".join(lines), lines, data, first, graph)
-    faults += more
-    return part, declared, min(faults, key=lambda f: f[0]) if faults else None
-
-
-def _parse_pairs(
-    joined: str, lines: list[str], data, first: int, graph: ClickGraph
-) -> tuple[tuple[np.ndarray, ...], list[tuple[int, str]]]:
-    """Parse data ``lines``, tab-joined as ``joined``; the k-th of them is
-    line ``first + data[k]`` of the file.
-
-    Returns the pairs read, as :func:`_parse_dump_chunk` does, and the
-    faults found.
-    """
-    faults = []
-    # One flat list for the whole chunk: a list per line costs far more.
-    # Each line holds one newline, at its end, so every line has 3 fields
-    # exactly when there are 3 per line in all and every third field
-    # carries a newline.
-    count = len(lines)
-    fields = joined.split("\t") if lines else []
-    if len(fields) != 3 * count or "".join(fields[2::3]).count("\n") != count:
-        count = next(k for k, line in enumerate(lines) if line.count("\t") != 2)
-        faults.append((first + data[count], "expected 3 tab-separated fields"))
-        fields = fields[: 3 * count]
-
-    # the index type a CSR matrix of the table will use
-    index_type = np.int32 if graph.num_queries < 2**31 else np.int64
+def _bulk_dump_chunk(chunk: bytes, graph: ClickGraph, labels: LabelIndex):
+    """The pairs of a dump chunk read in bulk, as :func:`_parse_dump_lines`
+    gives them but with no line numbers, or ``None`` where
+    :mod:`~clicksim.lines` cannot prove the chunk reads as that reads
+    it, or it holds a fault."""
+    fields = split_fields(chunk, 3, _is_dump_comment)
+    if fields is None:
+        return None
+    declared, fault = _declared_method(fields.skipped, 1)
+    if fault is not None:
+        return None
     columns = []
     for column in (0, 1):
-        index = np.fromiter(
-            map(graph._q_index.get, fields[column::3], repeat(-1)),
-            index_type,
-            count=count,
-        )
-        # a label not in canonical form is looked up again, canonicalized
+        index = labels.find(fields, column)
         for k in np.flatnonzero(index < 0).tolist():
             try:
-                index[k] = graph.query_id(fields[3 * k + column]).index
-            except ValueError as exc:
-                faults.append((first + data[k], str(exc)))
-                break
-        columns.append(index)
-    rows, cols = columns
-    try:
-        vals = np.fromiter(map(float, fields[2::3]), np.float64, count=count)
-    except ValueError:
-        count = next(k for k, text in enumerate(fields[2::3]) if not _is_number(text))
-        faults.append((first + data[count], "score is not a number"))
-        vals = np.fromiter(map(float, fields[2 : 3 * count : 3]), np.float64, count=count)
+                index[k] = _query_index(graph, fields.text(k, column))
+            except ValueError:
+                return None
+        columns.append(index.astype(_index_type(graph)))
+    scores = parse_floats(fields, 2)
+    if scores is None:
+        return None
+    return (*columns, scores, np.empty(0, dtype=np.int64)), declared, None
 
-    linenos = first + np.asarray(data[:count], dtype=np.int64)
-    return (rows[:count], cols[:count], vals, linenos), faults
+
+def _scan(path, graph: ClickGraph, labels: LabelIndex | None):
+    """Read a dump a byte chunk at a time, each chunk in bulk where
+    ``labels`` is given and the bulk reader takes it, else line by line.
+
+    Returns the rows, columns, scores and line numbers of the pairs
+    read, the declared method and the first parse fault, at which the
+    reading stops.  Line numbers and faults are right only when every
+    chunk is read line by line: a bulk reading stands only if it finds
+    no fault at all.
+    """
+    method = Method.SIMPLE.value
+    parts = [_parse_dump_lines([], 1, graph)[0]]  # typed, for an empty file
+    fault = None
+    first = 1
+    for chunk in byte_chunks(path, _READ_CHUNK_BYTES):
+        read = None if labels is None else _bulk_dump_chunk(chunk, graph, labels)
+        if read is None:
+            lines = text_lines(chunk)
+            read = _parse_dump_lines(lines, first, graph)
+            first += len(lines)
+        part, declared, fault = read
+        parts.append(part)
+        method = declared or method
+        if fault is not None:
+            break
+    rows, cols, vals, linenos = map(np.concatenate, zip(*parts))
+    return rows, cols, vals, linenos, method, fault
+
+
+def _table_faults(rows, cols, vals, method: str):
+    """``(mask, message)`` of each check on the pairs of a whole table but
+    the one for pairs listed twice."""
+    low, high = _SCORE_RANGES[method]
+    with np.errstate(invalid="ignore"):
+        out_of_range = (vals < low) | (vals > high)
+    return (
+        (rows == cols, "query paired with itself"),
+        (~np.isfinite(vals), "score is not finite"),
+        (out_of_range, f"score outside [{low:g}, {high:g}] for method={method}"),
+    )
+
+
+def _checked_pairs(path, graph: ClickGraph):
+    """``(rows, cols, scores, method)`` of a dump read line by line, or a
+    :class:`ValueError` naming the first offending line in the file."""
+    rows, cols, vals, linenos, method, fault = _scan(path, graph, None)
+    n = graph.num_queries
+    keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
+    order = np.argsort(keys, kind="stable")
+    repeated = np.zeros(keys.size, dtype=bool)
+    repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    del keys, order
+    faults = [fault] if fault is not None else []
+    faults += [
+        (int(linenos[np.argmax(bad)]), what)
+        for bad, what in (
+            *_table_faults(rows, cols, vals, method),
+            (repeated, "pair listed twice"),
+        )
+        if bad.any()
+    ]
+    if faults:
+        lineno, what = min(faults, key=lambda f: f[0])
+        raise ValueError(f"{path}:{lineno}: {what}")
+    return rows, cols, vals, method
+
+
+def _symmetric(rows, cols, vals, n: int) -> sparse.csr_matrix | None:
+    """The symmetric ``n x n`` CSR matrix holding each score of the half
+    table ``(rows, cols, vals)`` at both of its positions, or ``None`` if
+    a pair is listed twice (in either order).  Each pair's row and column
+    are put in ascending order in place.
+
+    The structure is built on entry numbers, which are never zero, so
+    adding the two triangles neither merges nor drops an entry and scores
+    of zero stay stored.  Sorting the upper triangle into CSR order also
+    merges any repeated pair, which the entry count then shows.
+    """
+    swap = rows > cols
+    rows[swap], cols[swap] = cols[swap], rows[swap]
+    del swap
+    entries = np.arange(1, rows.size + 1, dtype=np.int32 if rows.size < 2**31 else np.int64)
+    upper = sparse.csr_matrix((entries, (rows, cols)), shape=(n, n))
+    del entries
+    if upper.nnz != rows.size:
+        return None
+    full = upper + upper.T.tocsr()
+    del upper
+    full.data -= 1
+    full.data = vals[full.data]
+    return full
 
 
 # -- engine core ---------------------------------------------------------

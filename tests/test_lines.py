@@ -1,5 +1,6 @@
 """The bulk line formatter and the writers built on it, against per-line
-f-string references."""
+f-string references; the bulk reading core, against Python's own text
+reading, ``float()``, ``int()`` and label dicts."""
 
 import importlib
 import io
@@ -15,7 +16,17 @@ from clicksim import graph as graph_module
 from clicksim.baselines import common_ad_scores, pearson_scores
 from clicksim.evidence import evidence_simrank
 from clicksim.graph import ClickGraph, demo_graph, generate_synthetic, save_graph
-from clicksim.lines import LabelTable, format_lines
+from clicksim import lines as lines_module
+from clicksim.lines import (
+    LabelIndex,
+    LabelTable,
+    byte_chunks,
+    format_lines,
+    parse_floats,
+    parse_ints,
+    split_fields,
+    text_lines,
+)
 from clicksim.simrank import Method, SimilarityScores, printed_score, simrank
 from clicksim.weighted import weighted_simrank
 
@@ -269,3 +280,124 @@ def test_graph_file_unicode_and_large_counts(monkeypatch):
     buf = io.StringIO()
     save_graph(demo_graph(), buf)
     assert buf.getvalue() == reference_graph_file(demo_graph())
+
+
+# -- the reading core --------------------------------------------------------
+
+
+def _never(line):
+    return False
+
+
+def _column(texts, count=2):
+    """The fields of a chunk of ``label<TAB>text`` lines, one per text."""
+    chunk = "".join(f"x\t{t}\n" for t in texts).encode("utf-8")
+    fields = split_fields(chunk, count, _never)
+    assert fields is not None
+    return fields
+
+
+def _python_floats(texts):
+    try:
+        return np.array([float(t) for t in texts], dtype=np.float64)
+    except ValueError:
+        return None
+
+
+number_text = st.one_of(
+    # the dump and graph writers' own form, from any float
+    any_float.map(lambda v: f"{v:.6f}"),
+    st.integers(-(10**17), 10**17).map(lambda k: f"{k // 10**6}.{abs(k) % 10**6:06d}"),
+    st.integers(0, 10**20).map(str),
+    # anything else float() or int() may or may not take
+    st.text(alphabet="0123456789.-+e_ x", max_size=20),
+    st.sampled_from(["", " 5", "+5", "5e-1", "1_0e-1", "00.500000", "-0.000000",
+                     ".500000", "5.", "0.5000000", "٣", "1.23456", "--1.000000"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(number_text, min_size=1, max_size=40))
+def test_parse_floats_equals_float(texts):
+    want = _python_floats(texts)
+    got = parse_floats(_column(texts), 1)
+    if want is None:
+        assert got is None
+    else:
+        # bit for bit, signed zeros and nans included
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(number_text, min_size=1, max_size=40))
+def test_parse_ints_equals_int(texts):
+    try:
+        want = [int(t) for t in texts]
+        if any(not -(2**63) <= v < 2**63 for v in want):
+            want = None
+    except ValueError:
+        want = None
+    got = parse_ints(_column(texts), 1)
+    assert (got is None) if want is None else (got.tolist() == want)
+
+
+def test_parse_floats_fast_form_at_its_limits():
+    texts = ["999999999.999999", "-999999999.999999", "0.000001", "1000000000.000000",
+             "9007199254.740993", "0.0000005", "123456789012.345678"]
+    got = parse_floats(_column(texts), 1)
+    assert got.tolist() == [float(t) for t in texts]
+
+
+def test_space_leads_are_the_utf8_starts_of_python_whitespace():
+    leads = {chr(c).encode("utf-8")[0] for c in range(0x110000) if chr(c).isspace()}
+    assert leads == set(lines_module._SPACE_LEADS)
+
+
+def test_split_fields_marks_skipped_lines():
+    chunk = "a\tb\n# c\td\n\n \t \n\u3000\nétoile\tf\n# last".encode("utf-8")
+    fields = split_fields(chunk, 2, lambda line: line.startswith("#") or line.isspace())
+    assert fields.skipped == ["# c\td\n", "\n", " \t \n", "\u3000\n", "# last\n"]
+    assert [fields.text(i, k) for i in range(2) for k in range(2)] == ["a", "b", "étoile", "f"]
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [b"a\tb\r\n", b"a\tb\rc\td\n", b"a\t\x00\n", b"a\t\xff\n", b"a\tb\tc\n", b"ab\n",
+     b"a\tb\nc\n", "é\t".encode("utf-8")[:1] + b"\tb\n"],
+)
+def test_split_fields_leaves_what_it_cannot_prove_to_python(chunk):
+    assert split_fields(chunk, 2, _never) is None
+
+
+@pytest.mark.parametrize("size", [1, 5, 64, 1 << 20])
+def test_byte_chunks_end_at_newlines_and_rebuild_the_file(tmp_path, size):
+    data = b"".join(b"line %d\r\n" % i if i % 7 else b"x" * i + b"\n" for i in range(200))
+    path = tmp_path / "f.txt"
+    path.write_bytes(data + b"no newline")
+    chunks = list(byte_chunks(path, size))
+    assert b"".join(chunks) == path.read_bytes()
+    assert all(c.endswith(b"\n") for c in chunks[:-1])
+    # the chunks split into the file's own text-mode lines
+    with open(path, encoding="utf-8") as fh:
+        assert [line for c in chunks for line in text_lines(c)] == list(fh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(min_size=0, max_size=80).filter(lambda t: "\t" not in t and "\n" not in t
+                                                       and "\r" not in t and "\x00" not in t),
+             min_size=0, max_size=30, unique=True),
+    st.lists(st.text(max_size=10).filter(lambda t: not set(t) & set("\t\n\r\x00")), max_size=10),
+)
+def test_label_index_finds_what_a_dict_finds(labels, others):
+    known = labels + ["#x", "a" * 64, "é" * 32, "b" * 65, "c\x00", "c"]
+    known = list(dict.fromkeys(known))
+    index = LabelIndex(known)
+    by_label = {label: i for i, label in enumerate(known)}
+    queries = [q for q in known if "\x00" not in q] + others + ["", "a" * 63, "a" * 65]
+    found = index.find(_column(queries), 1).tolist()
+    for query, got in zip(queries, found):
+        want = by_label.get(query, -1)
+        short = len(query.encode("utf-8")) <= 64
+        # labels over 64 bytes are left to the caller
+        assert got == (want if short else -1), query

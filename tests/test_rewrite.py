@@ -312,3 +312,39 @@ def test_read_rewrites_rejects_malformed(tmp_path):
     bad.write_text("q\t1\tr\t0.5\nq\t3\ts\t0.4\n")
     with pytest.raises(ValueError, match="non-contiguous"):
         read_rewrites(bad)
+
+
+def test_read_rewrites_rejects_a_query_split_across_the_file(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("q1\t1\tr1\t0.5\nq2\t1\tr2\t0.4\n# note\nq1\t2\tr3\t0.3\n")
+    with pytest.raises(ValueError, match=r"bad.tsv:4: lines of query 'q1' are split"):
+        read_rewrites(bad)
+
+
+def test_read_rewrites_rejects_a_rewrite_listed_twice(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("q1\t1\tq2\t0.5\nq1\t2\tq2\t0.4\n")
+    with pytest.raises(ValueError, match=r"bad.tsv:2: rewrite 'q2' listed twice for query 'q1'"):
+        read_rewrites(bad)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("q\t1\tr\t0.5\nq\t3\ts\t0.4\n", 2),
+        ("q\t2\tr\t0.5\nq\t3\ts\t0.4\n", 1),
+        ("q\t1\tr\t0.5\n\nq\t1\ts\t0.4\n", 3),
+        ("p\t1\tr\t0.5\nq\t2\tr\t0.5\nq\t1\ts\t0.4\nq\t2\tt\t0.4\n", 4),
+    ],
+)
+def test_read_rewrites_names_the_line_of_a_rank_out_of_sequence(tmp_path, text, line):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad.tsv:{line}: non-contiguous ranks for query 'q'"):
+        read_rewrites(bad)
+
+
+def test_read_rewrites_takes_ranks_in_any_order(tmp_path):
+    path = tmp_path / "rewrites.tsv"
+    path.write_text("q\t2\ts\t0.4\nq\t1\tr\t0.5\n")
+    assert read_rewrites(path) == [RewriteList("q", (("r", 0.5), ("s", 0.4)))]

@@ -440,13 +440,13 @@ def _dump_text(table):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("chunk_lines", [None, 97])
+@pytest.mark.parametrize("chunk_bytes", [None, 97])
 @pytest.mark.parametrize("score", ["simple", "pearson"])
 def test_multi_chunk_dump_reads_back_the_written_table(
-    tmp_path, monkeypatch, synthetic_300, chunk_lines, score
+    tmp_path, monkeypatch, synthetic_300, chunk_bytes, score
 ):
-    if chunk_lines is not None:
-        monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", chunk_lines)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", chunk_bytes)
     if score == "simple":
         table = simrank(synthetic_300, SimRankParams(max_iterations=7))
     else:
@@ -454,7 +454,8 @@ def test_multi_chunk_dump_reads_back_the_written_table(
     path = tmp_path / "scores.tsv"
     path.write_text(_dump_text(table))
     lines = path.read_text().splitlines()
-    assert len(lines) > simrank_module._READ_CHUNK_LINES
+    if chunk_bytes is not None:
+        assert path.stat().st_size > 20 * chunk_bytes
     if score == "pearson":
         assert lines[0] == "# method=pearson" and lines[-1].startswith("# degenerate")
 
@@ -496,7 +497,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("at", [15, 18, 21, 22])
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_dump_reader_fault_in_a_later_chunk(tmp_path, monkeypatch, synthetic_300, kind, at):
-    monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", 7)
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", 100)
     lines = _valid_dump_lines(synthetic_300, 40)
     corrupt, message = CORRUPTIONS[kind]
     lines[at - 1] = corrupt(lines, at)
@@ -521,7 +522,7 @@ def test_dump_reader_fault_in_a_later_chunk(tmp_path, monkeypatch, synthetic_300
 def test_dump_reader_reports_the_earlier_of_two_faults(
     tmp_path, monkeypatch, synthetic_300, earlier, later, second
 ):
-    monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", 7)
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", 100)
     lines = _valid_dump_lines(synthetic_300, 40)
     first = 15
     corrupt, message = CORRUPTIONS[earlier]
@@ -541,7 +542,7 @@ def test_dump_reader_reports_the_earlier_of_two_faults(
 def test_dump_reader_skips_blank_and_comment_lines_in_any_chunk(
     tmp_path, monkeypatch, synthetic_300, skipped, at
 ):
-    monkeypatch.setattr(simrank_module, "_READ_CHUNK_LINES", 7)
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", 100)
     lines = _valid_dump_lines(synthetic_300, 30)
     clean = tmp_path / "clean.tsv"
     clean.write_text("\n".join(lines) + "\n")
