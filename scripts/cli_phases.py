@@ -22,19 +22,25 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENGINE = ("--max-iterations", "7", "--epsilon", "0")
+STDERR_TAIL = 10  # stderr lines shown for a failing command
 # ``name=value`` fields, seconds with their ``s`` dropped
 FIELD = re.compile(r"\b([a-z_]+)=(-?\d+(?:\.\d+)?)s?(?=\s|$)")
 
 
 def run(src, *argv):
     """Run ``clicksim ARGV`` on the sources in ``src``; returns the fields
-    of its last stderr line."""
+    of its last stderr line.  A failing command raises an error naming
+    it, with the tail of its stderr."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "clicksim", *argv],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        check=True,
     )
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL:])
+        raise RuntimeError(
+            f"clicksim {' '.join(argv)} exited with status {proc.returncode}:\n{tail}"
+        )
     last = proc.stderr.strip().splitlines()[-1]
     return {name: float(value) for name, value in FIELD.findall(last)}
 
@@ -47,13 +53,14 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the clicksim package to run")
-    parser.add_argument("--workdir", help="where the graph and dumps go "
-                        "(default: a temporary directory, removed after)")
+    parser.add_argument("--workdir", help="where the graph and dumps go, made "
+                        "if missing (default: a temporary directory, removed after)")
     parser.add_argument("--label", default="", help="tag copied into every row")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as scratch:
         workdir = args.workdir or scratch
+        os.makedirs(workdir, exist_ok=True)
         n = int(args.size)
         base = {"label": args.label, "size": n, "edges": 3 * n,
                 "threads": args.threads, "seed": args.seed}

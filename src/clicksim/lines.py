@@ -194,14 +194,22 @@ def _int_slot(values: np.ndarray, separator: int) -> _Slot:
     return _right_aligned(block, first, np.empty(0, dtype=np.int64), [])
 
 
-def _float_slot(values: np.ndarray, separator: int) -> _Slot:
-    values = values.astype(np.float64, copy=False)
+def micro_units(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(units, exact)`` of float64 ``values``: ``units`` is
+    ``rint(|v| * 1e6)`` as ``uint64``, and ``exact`` marks where that is
+    the correctly rounded ``|v| * 10**6``, the digits ``f"{v:.6f}"``
+    prints (see the module docstring).  Elsewhere ``units`` is 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.abs(values) * 1e6
         fraction = scaled - np.floor(scaled)
         exact = np.isfinite(scaled) & (scaled < _FAST_FLOAT_LIMIT)
         exact &= np.abs(fraction - 0.5) > scaled * 2.0**-52
-    units = np.rint(np.where(exact, scaled, 0.0)).astype(np.uint64)
+    return np.rint(np.where(exact, scaled, 0.0)).astype(np.uint64), exact
+
+
+def _float_slot(values: np.ndarray, separator: int) -> _Slot:
+    values = values.astype(np.float64, copy=False)
+    units, exact = micro_units(values)
     tail = np.empty((values.size, 8), dtype=np.uint8)
     tail[:, 0] = _DOT
     tail[:, 1:7] = _digits(units % 1_000_000, 6)

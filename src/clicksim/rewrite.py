@@ -8,20 +8,23 @@ below never produce rewrites.
 
 import functools
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .graph import NodeId, NodeKind, canonical_label
-from .simrank import SimilarityScores, printed_score
+from .lines import micro_units
+from .simrank import SimilarityScores, label_ranks, printed_score
 
 _DEFAULT_CANDIDATE_CAP = 100
 _DEFAULT_FINAL_CAP = 5
 # Scores that print equal lie less than one printed step (1e-6) apart;
 # two steps leave room for the rounding of the scores themselves.
 _PRINTED_TIE_SPAN = 2e-6
+# table entries ranked at once; bounds the memory ranking takes
+_RANK_CHUNK_ENTRIES = 1 << 16
 
 
 def _stem_token(token: str) -> str:
@@ -44,7 +47,7 @@ def _stem_token(token: str) -> str:
     return token
 
 
-# the rewrite lists of one table fold the same labels again and again
+# each ranking of a table, and each table of one graph, folds the same labels
 @functools.lru_cache(maxsize=1 << 16)
 def normalize_query(text: str) -> str:
     """Canonical form used to spot duplicate rewrites.
@@ -117,66 +120,198 @@ def top_rewrites(
     normalized form, the best-ranked one; forms equal to the query's
     own are dropped) and optional bid filtering, then the list is cut to
     ``final_cap``.  Rewrites carry the table's own scores.
+
+    The lists of every query are ranked at once, on the first call for a
+    table, and kept on it until its ``matrix`` is replaced or a call
+    asks for other caps or bids; the calls after that look them up.
     """
     if query.kind is not NodeKind.QUERY:
         raise ValueError("rewrites are generated for query nodes")
     if candidate_cap < 1 or final_cap < 1:
         raise ValueError("caps must be positive")
-    label = scores.query_labels[query.index]
-
-    indices, values = scores.row(query.index)
-    if values.size > candidate_cap:
-        # past the cap-th best score only scores that print equal to it
-        # can still make the cut, on their label
-        cut = np.partition(values, values.size - candidate_cap)[
-            values.size - candidate_cap
-        ]
-        near = values >= cut - _PRINTED_TIE_SPAN
-        indices, values = indices[near], values[near]
-    order = np.argsort(values)[::-1]
-    ranked = _in_printed_order(
-        [scores.query_labels[j] for j in indices[order].tolist()],
-        values[order].tolist(),
+    setting = (candidate_cap, final_cap, bids)
+    ranking = scores._ranking
+    if (
+        ranking is None
+        or ranking.matrix is not scores.matrix
+        or ranking.setting != setting
+    ):
+        ranking = scores._ranking = _rank_table(scores, *setting)
+    i = query.index
+    return RewriteList(
+        query=scores.query_labels[i],
+        rewrites=tuple(ranking.rewrites[ranking.starts[i] : ranking.starts[i + 1]]),
     )
 
-    own_form = normalize_query(label)
-    seen: set[str] = set()
-    kept: list[tuple[str, float]] = []
-    for cand, score in islice(ranked, candidate_cap):
-        form = normalize_query(cand)
-        if form == own_form or form in seen:
-            continue
-        seen.add(form)
-        if bids is not None and cand not in bids:
-            continue
-        kept.append((cand, score))
-        if len(kept) == final_cap:
-            break
 
-    return RewriteList(query=label, rewrites=tuple(kept))
+class _Ranking(NamedTuple):
+    """The rewrites of every query of one table: query ``i``'s are
+    ``rewrites[starts[i]:starts[i + 1]]``."""
+
+    matrix: sparse.csr_matrix
+    setting: tuple
+    starts: list[int]
+    rewrites: list[tuple[str, float]]
 
 
-def _in_printed_order(
-    labels: list[str], values: list[float]
-) -> Iterator[tuple[str, float]]:
-    """Yield ``(label, score)`` by printed score descending, then label.
+def printed_scores(values: np.ndarray) -> np.ndarray:
+    """:func:`~clicksim.simrank.printed_score` of each value, in bulk.
 
-    ``values`` is sorted descending.  The printed score never decreases
-    with the score, so equal printed scores form runs; each run is
-    sorted by label when it is reached, and no score past it is
-    formatted.  The first score that prints as zero or below ends the
-    sequence.
+    Where :func:`~clicksim.lines.micro_units` proves its digits those of
+    the printed text, the printed score is ``±units / 1e6``: both that
+    division and ``float()`` of the text round the same real number
+    correctly.  Other values go through ``printed_score`` one at a time.
     """
-    start = 0
-    while start < len(values):
-        key = printed_score(values[start])
-        if key <= 0.0:
-            return
-        stop = start + 1
-        while stop < len(values) and printed_score(values[stop]) == key:
-            stop += 1
-        yield from sorted(zip(labels[start:stop], values[start:stop]))
-        start = stop
+    values = values.astype(np.float64, copy=False)
+    units, exact = micro_units(values)
+    printed = units / 1e6
+    np.negative(printed, out=printed, where=np.signbit(values))
+    slow = np.flatnonzero(~exact)
+    printed[slow] = [printed_score(v) for v in values[slow].tolist()]
+    return printed
+
+
+def _rank_table(
+    scores: SimilarityScores,
+    candidate_cap: int,
+    final_cap: int,
+    bids: BidTermList | None,
+) -> _Ranking:
+    """Every query's list, by the rule of :func:`top_rewrites` applied
+    to the table a row chunk at a time."""
+    labels = scores.query_labels
+    matrix = scores.matrix
+    n = len(labels)
+    rank = label_ranks(labels)
+    forms: dict[str, int] = {}
+    form = np.fromiter(
+        (forms.setdefault(normalize_query(label), len(forms)) for label in labels),
+        np.int64,
+        n,
+    )
+    # only a label whose form another label shares can be folded away
+    shared = np.bincount(form)[form] > 1
+    allowed = None
+    if bids is not None:
+        allowed = np.fromiter((label in bids for label in labels), bool, n)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), matrix.data[:0])]
+    for lo, hi in _row_chunks(matrix.indptr, _RANK_CHUNK_ENTRIES):
+        rows, cols, values = _ranked_candidates(matrix, lo, hi, candidate_cap, rank)
+        keep = form[cols] != form[rows]
+        folded = np.flatnonzero(keep & shared[cols])
+        if folded.size:
+            # keep the first entry of each (row, form); unique's indices
+            # point at first occurrences
+            _, first = np.unique(rows[folded] * n + form[cols[folded]], return_index=True)
+            keep[folded] = False
+            keep[folded[first]] = True
+        if allowed is not None:
+            keep &= allowed[cols]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+        keep = _positions(rows, lo, hi) < final_cap
+        parts.append((rows[keep], cols[keep], values[keep]))
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+    rewrites = list(zip(map(labels.__getitem__, cols.tolist()), values.tolist()))
+    return _Ranking(matrix, (candidate_cap, final_cap, bids), starts.tolist(), rewrites)
+
+
+def _row_chunks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges holding about ``entries`` entries each, and
+    at least one row."""
+    n = indptr.size - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(indptr, indptr[lo] + entries, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        yield lo, hi
+        lo = hi
+
+
+def _positions(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Each entry's place within its row, for ``rows`` sorted ascending."""
+    counts = np.bincount(rows - lo, minlength=hi - lo)
+    firsts = np.cumsum(counts) - counts
+    return np.arange(rows.size) - firsts[rows - lo]
+
+
+def _ranked_candidates(matrix, lo, hi, candidate_cap, rank):
+    """``(rows, cols, values)`` of the first ``candidate_cap`` candidates
+    of rows ``lo`` to ``hi``, ordered by row, then printed score
+    descending, then label rank."""
+    a, b = matrix.indptr[lo], matrix.indptr[hi]
+    values, cols = matrix.data[a:b], matrix.indices[a:b]
+    lengths = np.diff(matrix.indptr[lo : hi + 1])
+    rows = np.repeat(np.arange(lo, hi), lengths)
+    long = np.flatnonzero(lengths > candidate_cap)
+    if long.size:
+        # past the cap-th best score only scores that print equal to it
+        # can still make the cut, on their label
+        floor = np.full(hi - lo, -np.inf)
+        starts = matrix.indptr[lo:hi][long] - a
+        floor[long] = (
+            _kth_largest(values, starts, lengths[long], candidate_cap) - _PRINTED_TIE_SPAN
+        )
+        keep = values >= floor[rows - lo]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    printed = printed_scores(values)
+    keep = printed > 0.0
+    rows, cols, values, printed = rows[keep], cols[keep], values[keep], printed[keep]
+    order = _rank_order(rows - lo, printed, rank[cols])
+    rows, cols, values = rows[order], cols[order], values[order]
+    keep = _positions(rows, lo, hi) < candidate_cap
+    return rows[keep], cols[keep], values[keep]
+
+
+def _rank_order(rows: np.ndarray, printed: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The order sorting entries by row, printed score descending, then
+    label rank; all three are non-negative, ``printed`` positive.
+
+    One ``int64`` key sorts them when the printed scores' micro-units
+    (exact below ``2**50``, see :func:`printed_scores`) fit beside the
+    row and the rank; ``np.lexsort`` sorts them otherwise.
+    """
+    if rows.size and printed.max() < 2.0**50 / 1e6:
+        micros = np.rint(printed * 1e6).astype(np.int64)
+        span = int(micros.max()) + 1
+        labels = int(rank.max()) + 1
+        if (int(rows.max()) + 1) * span * labels < 2**63:
+            return np.argsort((rows * span + (span - 1 - micros)) * labels + rank)
+    return np.lexsort((rank, -printed, rows))
+
+
+def _kth_largest(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray, k: int
+) -> np.ndarray:
+    """The ``k``-th largest of each ``values[start:start + length]``, for
+    lengths of at least ``k``.
+
+    Segments of similar length are padded with ``-inf`` into a matrix
+    of at most about ``_RANK_CHUNK_ENTRIES`` cells and partitioned row by
+    row at once.
+    """
+    out = np.empty(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    by_length = lengths[order]
+    i = 0
+    while i < order.size:
+        width = 2 * int(by_length[i])
+        j = min(
+            int(np.searchsorted(by_length, width, side="right")),
+            i + max(1, _RANK_CHUNK_ENTRIES // width),
+        )
+        group = order[i:j]
+        width = int(by_length[j - 1])
+        padded = np.full((group.size, width), -np.inf)
+        spans = lengths[group]
+        offsets = np.cumsum(spans) - spans
+        padded[np.arange(width) < spans[:, None]] = values[
+            np.repeat(starts[group] - offsets, spans) + np.arange(spans.sum())
+        ]
+        out[group] = np.partition(padded, width - k, axis=1)[:, width - k]
+        i = j
+    return out
 
 
 def coverage(lists: Iterable[RewriteList], query_sample: Iterable[str]) -> float:

@@ -121,6 +121,8 @@ class SimilarityScores:
     method: str
     min_score_threshold: float = 0.0
     degenerate_pairs: tuple[tuple[int, int], ...] = field(default=())
+    # the last table-wide rewrite ranking, kept by :mod:`clicksim.rewrite`
+    _ranking: object = field(default=None, init=False, repr=False, compare=False)
 
     def _check_query(self, node: NodeId) -> int:
         if node.kind is not NodeKind.QUERY:
@@ -174,12 +176,7 @@ class SimilarityScores:
         if coo.nnz:
             # sort by integer label ranks, not the labels themselves:
             # same order, and it stays fast at tens of millions of pairs
-            labels = self.query_labels
-            by_rank = sorted(labels)
-            rank = np.empty(len(labels), dtype=np.int64)
-            rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(
-                len(labels)
-            )
+            rank = label_ranks(self.query_labels)
             ra, rb = rank[coo.row], rank[coo.col]
             lo = np.minimum(ra, rb)
             hi = np.maximum(ra, rb)
@@ -187,7 +184,7 @@ class SimilarityScores:
             lo, hi, data = lo[order], hi[order], coo.data[order]
             # the lines are built in bulk a chunk at a time, so the text
             # never takes more memory than one chunk of it
-            table = LabelTable(by_rank)
+            table = LabelTable(sorted(self.query_labels))
             for start in range(0, lo.size, _WRITE_CHUNK_PAIRS):
                 stop = start + _WRITE_CHUNK_PAIRS
                 text = format_lines(
@@ -211,18 +208,16 @@ class SimilarityScores:
         offending line in the file, rather than being merged into the
         table.
         """
-        rows, cols, vals, _, method, fault = _scan(
-            path, graph, LabelIndex(graph.query_labels)
-        )
+        *half, _, method, fault = _scan(path, graph, LabelIndex(graph.query_labels))
         matrix = None
         if fault is None and not any(
-            bad.any() for bad, _ in _table_faults(rows, cols, vals, method)
+            bad.any() for bad, _ in _table_faults(*half, method)
         ):
-            matrix = _symmetric(rows, cols, vals, graph.num_queries)
+            matrix = _symmetric(half, graph.num_queries)
         if matrix is None:
             # a fault somewhere: read again, line by line, to name it
-            rows, cols, vals, method = _checked_pairs(path, graph)
-            matrix = _symmetric(rows, cols, vals, graph.num_queries)
+            *half, method = _checked_pairs(path, graph)
+            matrix = _symmetric(half, graph.num_queries)
         return cls(
             query_labels=graph.query_labels,
             matrix=matrix,
@@ -230,6 +225,13 @@ class SimilarityScores:
             converged=True,
             method=method,
         )
+
+
+def label_ranks(labels) -> np.ndarray:
+    """Each label's position in the sorted labels, as ``int64``."""
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return rank
 
 
 def printed_score(score: float) -> float:
@@ -407,24 +409,28 @@ def _checked_pairs(path, graph: ClickGraph):
     return rows, cols, vals, method
 
 
-def _symmetric(rows, cols, vals, n: int) -> sparse.csr_matrix | None:
+def _symmetric(half: list, n: int) -> sparse.csr_matrix | None:
     """The symmetric ``n x n`` CSR matrix holding each score of the half
-    table ``(rows, cols, vals)`` at both of its positions, or ``None`` if
-    a pair is listed twice (in either order).  Each pair's row and column
-    are put in ascending order in place.
+    table ``half = [rows, cols, scores]`` at both of its positions, or
+    ``None`` if a pair is listed twice (in either order).
 
-    The structure is built on entry numbers, which are never zero, so
-    adding the two triangles neither merges nor drops an entry and scores
-    of zero stay stored.  Sorting the upper triangle into CSR order also
-    merges any repeated pair, which the entry count then shows.
+    ``half`` is emptied, so the rows and columns are freed once the
+    upper triangle is built, before the two triangles are added and the
+    scores gathered.  The structure is built on entry numbers, which are
+    never zero, so adding the two triangles neither merges nor drops an
+    entry and scores of zero stay stored.  Sorting the upper triangle
+    into CSR order also merges any repeated pair, which the entry count
+    then shows.
     """
+    rows, cols, vals = half
+    half.clear()
     swap = rows > cols
     rows[swap], cols[swap] = cols[swap], rows[swap]
     del swap
     entries = np.arange(1, rows.size + 1, dtype=np.int32 if rows.size < 2**31 else np.int64)
     upper = sparse.csr_matrix((entries, (rows, cols)), shape=(n, n))
-    del entries
-    if upper.nnz != rows.size:
+    del entries, rows, cols
+    if upper.nnz != vals.size:
         return None
     full = upper + upper.T.tocsr()
     del upper
@@ -496,7 +502,11 @@ def _cleanup(mat: sparse.csr_matrix, threshold: float) -> sparse.csr_matrix:
     and back sorts them in linear time (it is a counting sort, cheaper
     than sorting each row); with sorted rows each block sum is canonical,
     so the kept entries are already in CSR order and the result is
-    assembled straight from them.
+    assembled straight from them.  Without the second transpose the
+    stored order changes: ``test_chain_matches_two_sided_iteration_on_demo``
+    and ``test_chain_matches_two_sided_iteration_across_blocks`` in
+    ``tests/test_simrank.py`` then fail on the indices, although the
+    6-decimal golden outputs do not change.
     """
     shape = mat.shape
     transpose = mat.T.tocsr()

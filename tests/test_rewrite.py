@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clicksim import rewrite
+from clicksim.baselines import common_ad_scores, pearson_scores
+from clicksim.evidence import EvidenceKind, apply_evidence
 from clicksim.graph import generate_synthetic, query_node
 from clicksim.rewrite import (
     BidTermList,
@@ -12,11 +15,12 @@ from clicksim.rewrite import (
     coverage,
     depth_histogram,
     normalize_query,
+    printed_scores,
     read_rewrites,
     top_rewrites,
     write_rewrites,
 )
-from clicksim.simrank import SimRankParams, simrank
+from clicksim.simrank import SimRankParams, printed_score, simrank
 from scipy import sparse
 from clicksim.simrank import SimilarityScores
 
@@ -244,6 +248,122 @@ def test_ranking_uses_printed_scores():
     assert lst.rewrites == (("b", 0.25), ("c", 0.25 + 1e-9))
     lst = top_rewrites(table, query_node(0), candidate_cap=1)
     assert lst.rewrites == (("b", 0.25),)
+
+
+def _assert_ranks_like_the_reference(scores, candidate_cap=100, final_cap=5, bids=None):
+    for i in range(len(scores.query_labels)):
+        got = top_rewrites(scores, query_node(i), candidate_cap, final_cap, bids)
+        want = _reference_rewrites(scores, query_node(i), candidate_cap, final_cap, bids)
+        assert got == want, i
+
+
+# a printed score has 6 decimals, so its ties |v| * 1e6 = j + 1/2 are the
+# odd multiples of 2**-7 = 0.0078125; other dyadic values come close
+_DYADIC = st.builds(
+    lambda odd, k: (2 * odd + 1) * 2.0**-k,
+    st.integers(0, 2**20),
+    st.integers(1, 60),
+)
+_NEAR_TIES = st.builds(
+    lambda v, step: float(np.nextafter(v, step * np.inf)) if step else v,
+    _DYADIC,
+    st.sampled_from([-1, 0, 1]),
+)
+_COUNTS = st.integers(2**20, 2**62).map(float)
+_SCORES = st.builds(
+    lambda v, negative: -v if negative else v,
+    st.one_of(st.floats(), _NEAR_TIES, _COUNTS),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCORES, max_size=40))
+def test_bulk_printed_scores_equal_printed_score(values):
+    got = printed_scores(np.array(values, dtype=np.float64))
+    want = np.array([printed_score(v) for v in values], dtype=np.float64)
+    # bit for bit: signed zeros and nan included
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_bulk_printed_scores_at_ties_and_their_neighbours():
+    ties = np.array([0.0078125, 3 * 0.0078125, 0.5 + 0.0078125, 2.0**-27, 2.0**20 + 0.0078125])
+    values = np.concatenate(
+        [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)]
+    )
+    values = np.concatenate([values, -values, [2.0**21 + 1, 2.0**40, 0.0, -0.0]])
+    want = np.array([printed_score(v) for v in values.tolist()])
+    assert printed_scores(values).view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert printed_scores(np.array([3, -2, 2**21])).tolist() == [3.0, -2.0, 2.0**21]
+
+
+def test_ranking_is_kept_until_the_matrix_is_replaced():
+    graph = generate_synthetic(300, 300, 900, seed=3)
+    scores = simrank(graph, SimRankParams(max_iterations=5, convergence_epsilon=0.0))
+    before = [top_rewrites(scores, q) for q in graph.queries()]
+    ranking = scores._ranking
+    top_rewrites(scores, query_node(0))
+    assert scores._ranking is ranking
+    # as evidence scoring does after ranking the plain table
+    scores.matrix = apply_evidence(
+        scores.matrix, graph, EvidenceKind.GEOMETRIC, scores.min_score_threshold
+    )
+    after = [top_rewrites(scores, q) for q in graph.queries()]
+    assert after != before
+    _assert_ranks_like_the_reference(scores)
+
+
+def test_other_caps_and_bids_are_ranked_afresh(ranking_tables):
+    scores = ranking_tables["coarse"]
+    bids = BidTermList(terms=frozenset(scores.query_labels[::2]))
+    for candidate_cap, final_cap, chosen in (
+        (100, 5, None), (2, 5, None), (2, 1, None), (2, 1, bids),
+        (2, 1, BidTermList(terms=frozenset(scores.query_labels[1::2]))), (100, 5, None),
+    ):
+        _assert_ranks_like_the_reference(scores, candidate_cap, final_cap, chosen)
+
+
+@pytest.mark.parametrize("build", [common_ad_scores, pearson_scores])
+@pytest.mark.parametrize("candidate_cap, final_cap", [(1, 1), (3, 2), (100, 5)])
+def test_baseline_tables_rank_like_a_full_sort(build, candidate_cap, final_cap):
+    scores = build(generate_synthetic(300, 300, 1500, seed=4))
+    assert (np.diff(scores.matrix.indptr) > 3).sum() > 50
+    bids = BidTermList(terms=frozenset(scores.query_labels[::3]))
+    _assert_ranks_like_the_reference(scores, candidate_cap, final_cap)
+    _assert_ranks_like_the_reference(scores, candidate_cap, final_cap, bids)
+
+
+@pytest.mark.parametrize("chunk", [257, 1 << 16])
+@pytest.mark.parametrize("scale", [1.0, 2.0**28, 2.0**31])
+def test_ranking_in_any_chunks_and_at_any_score_size(
+    ranking_tables, monkeypatch, chunk, scale
+):
+    # small chunks split the table and its long rows' groups; large
+    # scores leave no room for one sort key over a whole chunk (2**28),
+    # or for exact micro-units (2**31)
+    monkeypatch.setattr(rewrite, "_RANK_CHUNK_ENTRIES", chunk)
+    exact = ranking_tables["coarse"]
+    scores = SimilarityScores(
+        query_labels=exact.query_labels, matrix=exact.matrix * scale,
+        iterations_run=7, converged=False, method="common",
+    )
+    _assert_ranks_like_the_reference(scores, 10, 5)
+    _assert_ranks_like_the_reference(scores, 150, 3)
+
+
+def test_folding_across_table_chunks(monkeypatch):
+    monkeypatch.setattr(rewrite, "_RANK_CHUNK_ENTRIES", 4)
+    labels = ["hat", "hats", "Hat", "cap", "caps", "cap s", "beret"]
+    entries = {
+        (a, b): 0.1 + 0.01 * ((i * 7 + j * 3) % 11)
+        for i, a in enumerate(labels) for j, b in enumerate(labels) if i < j
+    }
+    table = _score_table(labels, entries)
+    for cap in (1, 2, 3, 6):
+        _assert_ranks_like_the_reference(table, cap, 5)
+        _assert_ranks_like_the_reference(
+            table, cap, 2, BidTermList(terms=frozenset(["hats", "caps", "beret"]))
+        )
 
 
 def test_coverage_fractions():
