@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .evidence import _symmetric, common_neighbor_counts
+from .evidence import common_neighbor_counts
 from .graph import ClickGraph, NodeId, NodeKind, _pattern
-from .simrank import SimilarityScores
+from .simrank import SimilarityScores, _symmetric
 
 
 def _check_query(graph: ClickGraph, node: NodeId) -> int:
@@ -129,7 +129,7 @@ def pearson_scores(graph: ClickGraph) -> SimilarityScores:
     means = PearsonContext.from_graph(graph).mean_weight
     r, degenerate = _correlations(graph.query_adjacency, means, pairs.row, pairs.col)
     keep = r != 0.0
-    matrix = _symmetric(pairs.row[keep], pairs.col[keep], r[keep], graph.num_queries)
+    matrix = _symmetric([pairs.row[keep], pairs.col[keep], r[keep]], graph.num_queries)
     return SimilarityScores(
         query_labels=graph.query_labels,
         matrix=matrix,

@@ -15,6 +15,7 @@ are byte-identical on the data channel.
 """
 
 import argparse
+import math
 import resource
 import sys
 import time
@@ -77,8 +78,8 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"{value} is not finite and non-negative")
     return value
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import ClickGraph
-from .simrank import Method, SimRankParams, SimilarityScores, simrank
+from .simrank import Method, SimRankParams, SimilarityScores, _symmetric, simrank
 
 
 class EvidenceKind(enum.Enum):
@@ -46,23 +46,11 @@ def evidence_score(common_count: int, kind: EvidenceKind = EvidenceKind.GEOMETRI
     return float(_evidence_curve(np.float64(common_count), kind))
 
 
-def _symmetric(
-    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int
-) -> sparse.csr_matrix:
-    """Square CSR matrix holding ``values`` at (rows, cols) and (cols, rows)."""
-    return sparse.csr_matrix(
-        (
-            np.concatenate([values, values]),
-            (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
-        ),
-        shape=(size, size),
-    )
-
-
 def common_neighbor_counts(graph: ClickGraph) -> sparse.csr_matrix:
     """Query-query matrix of shared ad counts (diagonal omitted)."""
     pairs = graph.co_clicks
-    return _symmetric(pairs.row, pairs.col, pairs.data, graph.num_queries)
+    # copies, since _symmetric reorders the rows and columns it is given
+    return _symmetric([pairs.row.copy(), pairs.col.copy(), pairs.data], graph.num_queries)
 
 
 def _evidence_matrix(graph: ClickGraph, kind: EvidenceKind) -> sparse.csr_matrix:

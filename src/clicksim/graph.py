@@ -13,7 +13,6 @@ freely between threads.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,10 +25,12 @@ from .lines import (
     _LABEL_WIDTH,
     LabelTable,
     byte_chunks,
+    first_fault,
     format_lines,
     label_keys,
     parse_floats,
     parse_ints,
+    repeated,
     split_fields,
 )
 
@@ -139,57 +140,12 @@ class ClickGraph:
 
         Query labels are canonicalized (lowercased, whitespace collapsed);
         ad identifiers are kept verbatim apart from surrounding whitespace.
-        Duplicate (query, ad) pairs are rejected.
+        An empty label, a negative count, clicks above impressions, a rate
+        outside ``[0, 1]`` or a duplicate (query, ad) pair raises
+        :class:`GraphFormatError` naming the first such row as ``record N``.
         """
-        return cls._from_located(
-            (f"record {row}", record) for row, record in enumerate(records, start=1)
-        )
-
-    @classmethod
-    def _from_located(
-        cls, located: Iterable[tuple[str, tuple[str, str, int, int, float]]]
-    ) -> "ClickGraph":
-        """:meth:`from_records` over ``(where, record)`` pairs, where
-        ``where`` names the record's position in a fault."""
-        q_labels: list[str] = []
-        a_labels: list[str] = []
-        q_index: dict[str, int] = {}
-        a_index: dict[str, int] = {}
-        qs, As, imps, clks, ecrs = [], [], [], [], []
-        seen: set[tuple[int, int]] = set()
-
-        for where, (query, ad, imp, clk, ecr) in located:
-            query = canonical_label(query)
-            ad = ad.strip()
-            if not query or not ad:
-                raise GraphFormatError(f"{where}: empty query or ad label")
-            _check_edge_stats(imp, clk, ecr, where)
-            qi = q_index.setdefault(query, len(q_labels))
-            if qi == len(q_labels):
-                q_labels.append(query)
-            ai = a_index.setdefault(ad, len(a_labels))
-            if ai == len(a_labels):
-                a_labels.append(ad)
-            if (qi, ai) in seen:
-                raise GraphFormatError(
-                    f"{where}: duplicate edge ({query!r}, {ad!r})"
-                )
-            seen.add((qi, ai))
-            qs.append(qi)
-            As.append(ai)
-            imps.append(imp)
-            clks.append(clk)
-            ecrs.append(ecr)
-
-        return cls(
-            q_labels,
-            a_labels,
-            np.array(qs, dtype=np.int64),
-            np.array(As, dtype=np.int64),
-            np.array(imps, dtype=np.int64),
-            np.array(clks, dtype=np.int64),
-            np.array(ecrs, dtype=np.float64),
-        )
+        rows = list(records)
+        return _edges_graph(*_columns(rows), range(1, len(rows) + 1), "record")
 
     # -- basic shape ---------------------------------------------------
 
@@ -239,47 +195,17 @@ class ClickGraph:
             raise ValueError(f"node index out of range: {node}")
         return labels[node.index]
 
-    # -- sorted edge views -------------------------------------------------
-
-    @cached_property
-    def _by_query(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, edge order) with edges grouped by query index."""
-        counts = np.bincount(self._eq, minlength=self.num_queries)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return indptr, np.arange(self.num_edges)  # already sorted by (q, a)
-
-    @cached_property
-    def _by_ad(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.lexsort((self._eq, self._ea))
-        counts = np.bincount(self._ea, minlength=self.num_ads)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return indptr, order
-
-    def _row(self, node: NodeId) -> tuple[np.ndarray, np.ndarray]:
-        """Edge ids incident to ``node`` plus the neighbor indices."""
-        if node.kind is NodeKind.QUERY:
-            indptr, order = self._by_query
-            edges = order[indptr[node.index] : indptr[node.index + 1]]
-            return edges, self._ea[edges]
-        indptr, order = self._by_ad
-        edges = order[indptr[node.index] : indptr[node.index + 1]]
-        return edges, self._eq[edges]
+    # -- edges ----------------------------------------------------------
 
     def degree(self, node: NodeId) -> int:
         return int(self._adjacency_row(node)[0].size)
 
     def neighbors(self, node: NodeId) -> list[tuple[NodeId, EdgeStats]]:
         """Neighbors of ``node`` with edge statistics, ascending by index."""
-        self.label(node)
-        other = NodeKind.AD if node.kind is NodeKind.QUERY else NodeKind.QUERY
-        edges, nbrs = self._row(node)
-        return [
-            (
-                NodeId(other, int(j)),
-                EdgeStats(int(self._imp[e]), int(self._clk[e]), float(self._ecr[e])),
-            )
-            for e, j in zip(edges, nbrs)
-        ]
+        nbrs, _ = self._adjacency_row(node)
+        if node.kind is NodeKind.QUERY:
+            return [(ad_node(j), self.edge_stats(node, ad_node(j))) for j in nbrs.tolist()]
+        return [(query_node(i), self.edge_stats(query_node(i), node)) for i in nbrs.tolist()]
 
     def _adjacency_row(self, node: NodeId) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices, ascending, and edge weights of ``node``: views
@@ -304,10 +230,11 @@ class ClickGraph:
         return EdgeStats(int(self._imp[e]), int(self._clk[e]), float(self._ecr[e]))
 
     def _find_edge(self, qi: int, ai: int) -> int:
-        indptr, _ = self._by_query
-        lo, hi = indptr[qi], indptr[qi + 1]
-        pos = lo + np.searchsorted(self._ea[lo:hi], ai)
-        if pos < hi and self._ea[pos] == ai:
+        """Id of edge ``(qi, ai)``, its entry in :attr:`query_adjacency`, or -1."""
+        rows = self.query_adjacency
+        lo, hi = rows.indptr[qi], rows.indptr[qi + 1]
+        pos = lo + np.searchsorted(rows.indices[lo:hi], ai)
+        if pos < hi and rows.indices[pos] == ai:
             return int(pos)
         return -1
 
@@ -331,26 +258,17 @@ class ClickGraph:
     @cached_property
     def query_adjacency(self) -> sparse.csr_matrix:
         """queries x ads CSR matrix holding expected click rates."""
-        indptr, _ = self._by_query
-        mat = sparse.csr_matrix(
+        counts = np.bincount(self._eq, minlength=self.num_queries)
+        indptr = np.concatenate(([0], np.cumsum(counts)))  # edges sort by (q, a)
+        return sparse.csr_matrix(
             (self._ecr.copy(), self._ea.astype(np.int32), indptr.astype(np.int64)),
             shape=(self.num_queries, self.num_ads),
         )
-        return mat
 
     @cached_property
     def ad_adjacency(self) -> sparse.csr_matrix:
         """ads x queries CSR matrix holding expected click rates."""
-        indptr, order = self._by_ad
-        mat = sparse.csr_matrix(
-            (
-                self._ecr[order],
-                self._eq[order].astype(np.int32),
-                indptr.astype(np.int64),
-            ),
-            shape=(self.num_ads, self.num_queries),
-        )
-        return mat
+        return self.query_adjacency.T.tocsr()
 
     @cached_property
     def co_clicks(self) -> sparse.coo_matrix:
@@ -386,15 +304,6 @@ def _pattern(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
     return out
 
 
-def _check_edge_stats(imp: int, clk: int, ecr: float, where: str) -> None:
-    if imp < 0 or clk < 0:
-        raise GraphFormatError(f"{where}: negative impression or click count")
-    if clk > imp:
-        raise GraphFormatError(f"{where}: clicks ({clk}) exceed impressions ({imp})")
-    if not math.isfinite(ecr) or ecr < 0.0 or ecr > 1.0:
-        raise GraphFormatError(f"{where}: expected click rate {ecr!r} not in [0, 1]")
-
-
 # -- file formats -----------------------------------------------------------
 
 
@@ -402,51 +311,63 @@ def load_graph(path: str | Path) -> ClickGraph:
     """Read a tab-separated click graph.
 
     Each data line is ``query<TAB>ad<TAB>impressions<TAB>clicks<TAB>ecr``.
-    Blank lines and lines starting with ``#`` are ignored.  Malformed
-    lines and duplicate edges raise :class:`GraphFormatError` naming the
-    first offending line.
+    Blank lines and lines starting with ``#`` are ignored.  Labels are
+    canonicalized as :meth:`ClickGraph.from_records` does, and nodes are
+    indexed in order of first appearance.  A line without 5 fields, a
+    number Python cannot parse, and the faults ``from_records`` rejects
+    raise :class:`GraphFormatError` naming the first offending line.
 
     The file is read a byte chunk at a time and parsed in bulk by
-    :mod:`~clicksim.lines`.  A chunk it cannot prove it reads as the
-    per-line loader does (a ``\\r`` or NUL byte, bytes that are not
-    UTF-8, a label longer than 64 bytes) and any fault send the whole
-    file to the per-line loader, which also names the fault.
+    :mod:`~clicksim.lines`.  A chunk it cannot prove it reads as Python's
+    text mode does (a ``\\r`` or NUL byte, bytes that are not UTF-8, a
+    label longer than 64 bytes) and any fault send the whole file through
+    :func:`_parse_lines`, which numbers the lines to name the fault.
     """
     parts = []
     for chunk in byte_chunks(path, _READ_CHUNK_BYTES):
         part = _bulk_edge_chunk(chunk)
         if part is None:
-            return _load_per_line(path)
+            break
         parts.append(part)
-    graph = _edges_graph(parts)
-    return _load_per_line(path) if graph is None else graph
-
-
-def _load_per_line(path) -> ClickGraph:
+    else:
+        columns = [np.concatenate(column) for column in zip(*parts)] or _columns([])
+        graph = _edges_graph(*columns)
+        if graph is not None:
+            return graph
     with open(path, encoding="utf-8") as fh:
-        return ClickGraph._from_located(_located_records(fh))
+        rows, numbers, fault = _parse_lines(fh)
+    return _edges_graph(*_columns(rows), numbers, "line", fault)
 
 
-def _located_records(fh) -> Iterator[tuple[str, tuple[str, str, int, int, float]]]:
-    for lineno, line in enumerate(fh, start=1):
+def _parse_lines(lines: Iterable[str]):
+    """The ``(query, ad, impressions, clicks, ecr)`` rows of graph file
+    lines and their line numbers, counted from 1, up to the first line
+    without 5 tab-separated fields or with a number that ``int()`` or
+    ``float()`` rejects, and that line's fault as ``(line number,
+    message)``, or ``None``."""
+    rows, numbers = [], []
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if _is_graph_comment(line):
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise GraphFormatError(
-                f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
-            )
-        query, ad, imp_s, clk_s, ecr_s = fields
+            return rows, numbers, (lineno, f"expected 5 tab-separated fields, got {len(fields)}")
+        query, ad, imp, clk, ecr = fields
         try:
-            imp = int(imp_s)
-            clk = int(clk_s)
-            ecr = float(ecr_s)
+            rows.append((query, ad, int(imp), int(clk), float(ecr)))
         except ValueError:
-            raise GraphFormatError(
-                f"line {lineno}: non-numeric impressions/clicks/ecr"
-            ) from None
-        yield f"line {lineno}", (query, ad, imp, clk, ecr)
+            return rows, numbers, (lineno, "non-numeric impressions/clicks/ecr")
+        numbers.append(lineno)
+    return rows, numbers, None
+
+
+def _columns(rows: list) -> list[np.ndarray]:
+    """The edge columns of ``(query, ad, impressions, clicks, ecr)`` rows,
+    labels as ``object`` arrays of the raw ``str``."""
+    columns = zip(*rows, strict=True) if rows else ((),) * 5
+    types = (object, object, np.int64, np.int64, np.float64)
+    return [np.array(column, dtype=t) for column, t in zip(columns, types, strict=True)]
 
 
 def _is_graph_comment(line: str) -> bool:
@@ -457,7 +378,7 @@ def _bulk_edge_chunk(chunk: bytes):
     """``(query keys, ad keys, impressions, clicks, ecr)`` of a chunk's
     edges, the labels raw as zero-padded ``bytes`` keys, or ``None``
     where :mod:`~clicksim.lines` cannot prove the chunk reads as
-    :func:`_located_records` reads it, a line is malformed or a label is
+    :func:`_parse_lines` reads it, a line is malformed or a label is
     longer than 64 bytes."""
     fields = split_fields(chunk, 5, _is_graph_comment)
     if fields is None:
@@ -476,39 +397,55 @@ def _bulk_edge_chunk(chunk: bytes):
     return (*keys, *numbers)
 
 
-def _edges_graph(parts) -> ClickGraph | None:
-    """The graph of the edge columns of ``parts``, or ``None`` if a label
-    is empty, a count or rate is out of range or an edge is listed
-    twice; labels are canonicalized as :meth:`ClickGraph.from_records`
-    does, and nodes indexed in order of first appearance."""
-    if not parts:
-        return ClickGraph._from_located([])
-    q_keys, a_keys, imp, clk, ecr = (np.concatenate(column) for column in zip(*parts))
-    queries = _first_seen(q_keys, canonical_label)
-    ads = _first_seen(a_keys, str.strip)
-    if queries is None or ads is None:
-        return None
-    (q_labels, q_idx), (a_labels, a_idx) = queries, ads
-    bad = (imp < 0) | (clk < 0) | (clk > imp)
-    bad |= ~np.isfinite(ecr) | (ecr < 0.0) | (ecr > 1.0)
-    if bad.any() or np.unique(q_idx * len(a_labels) + a_idx).size < q_idx.size:
-        return None
+def _edges_graph(
+    queries, ads, imp, clk, ecr, numbers=None, noun="line", fault=None
+) -> ClickGraph | None:
+    """The graph of the edge columns, labels raw (``str`` or UTF-8 ``bytes``).
+
+    Labels are canonicalized once per distinct raw label.  Each row is
+    checked for an empty label, a negative count, clicks above
+    impressions, a rate outside ``[0, 1]`` and an edge listed before, in
+    that order.  A fault gives ``None`` without ``numbers``; with them,
+    the earlier of the first flagged row and the parse ``fault`` raises
+    :class:`GraphFormatError` naming it as ``{noun} {number}``.
+    """
+    q_labels, q_idx = _first_seen(queries, canonical_label)
+    a_labels, a_idx = _first_seen(ads, str.strip)
+    checks = (
+        ((q_idx < 0) | (a_idx < 0), lambda _: "empty query or ad label"),
+        ((imp < 0) | (clk < 0), lambda _: "negative impression or click count"),
+        (clk > imp, lambda k: f"clicks ({clk[k]}) exceed impressions ({imp[k]})"),
+        (
+            ~((ecr >= 0.0) & (ecr <= 1.0)),
+            lambda k: f"expected click rate {float(ecr[k])!r} not in [0, 1]",
+        ),
+        (
+            repeated(q_idx * len(a_labels) + a_idx),
+            lambda k: f"duplicate edge ({q_labels[q_idx[k]]!r}, {a_labels[a_idx[k]]!r})",
+        ),
+    )
+    if numbers is None:
+        if any(bad.any() for bad, _ in checks):
+            return None
+    else:
+        fault = first_fault(numbers, checks, fault)
+        if fault is not None:
+            raise GraphFormatError(f"{noun} {fault[0]}: {fault[1]}")
     return ClickGraph(q_labels, a_labels, q_idx, a_idx, imp, clk, ecr)
 
 
-def _first_seen(keys: np.ndarray, clean) -> tuple[list[str], np.ndarray] | None:
-    """The distinct labels ``clean`` makes of the raw ``keys``, in order of
-    first appearance, and each key's label index; ``None`` if one is
-    empty.  ``clean`` runs once per distinct raw key."""
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    index = np.empty(distinct.size, dtype=np.int64)
+def _first_seen(keys: np.ndarray, clean) -> tuple[list[str], np.ndarray]:
+    """The distinct non-empty labels ``clean`` makes of the raw ``keys``,
+    in order of first appearance, and each key's label index, -1 where
+    its label is empty.  ``clean`` runs once per distinct raw key."""
+    raw: dict = {}
+    codes = [raw.setdefault(key, len(raw)) for key in keys.tolist()]
     seen: dict[str, int] = {}
-    for k in np.argsort(first).tolist():
-        label = clean(distinct[k].decode("utf-8"))
-        if not label:
-            return None
-        index[k] = seen.setdefault(label, len(seen))
-    return list(seen), index[inverse]
+    index = np.empty(len(raw), dtype=np.int64)
+    for k, key in enumerate(raw):
+        label = clean(key.decode("utf-8") if isinstance(key, bytes) else key)
+        index[k] = seen.setdefault(label, len(seen)) if label else -1
+    return list(seen), index[np.array(codes, dtype=np.int64)]
 
 
 def check_query_labels_writable(labels: Iterable[str]) -> None:

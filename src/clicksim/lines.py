@@ -252,6 +252,31 @@ def text_lines(chunk: bytes) -> list[str]:
     return io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8").readlines()
 
 
+def repeated(keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` equals an earlier one."""
+    order = np.argsort(keys, kind="stable")
+    out = np.zeros(keys.size, dtype=bool)
+    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return out
+
+
+def first_fault(numbers, checks, fault=None):
+    """The earliest ``(number, message)`` of the parse ``fault`` and the
+    checks, or ``None``.  A check is ``(mask, describe)``: a mask over the
+    rows read, which ``numbers`` numbers, and ``describe(row)`` gives the
+    message.  At one number ``fault`` wins, then the check listed first."""
+    flagged = [
+        (int(numbers[row]), k, row)
+        for k, (bad, _) in enumerate(checks)
+        for row in np.flatnonzero(bad)[:1].tolist()
+    ]
+    first = min(flagged, default=None)
+    if first is None or (fault is not None and fault[0] <= first[0]):
+        return fault
+    number, k, row = first
+    return number, checks[k][1](row)
+
+
 class Fields(NamedTuple):
     """The fields of a chunk's data lines.
 

@@ -23,6 +23,7 @@ between steps.
 
 import enum
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,8 +36,10 @@ from .lines import (
     LabelIndex,
     LabelTable,
     byte_chunks,
+    first_fault,
     format_lines,
     parse_floats,
+    repeated,
     split_fields,
     text_lines,
 )
@@ -96,10 +99,11 @@ class SimRankParams:
             raise ValueError("decay factors c1 and c2 must be in (0, 1]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence_epsilon < 0.0:
-            raise ValueError("convergence_epsilon must be non-negative")
-        if self.min_score_threshold < 0.0:
-            raise ValueError("min_score_threshold must be non-negative")
+        # written so that NaN fails too, as every comparison with it is false
+        if not 0.0 <= self.convergence_epsilon < math.inf:
+            raise ValueError("convergence_epsilon must be finite and non-negative")
+        if not 0.0 <= self.min_score_threshold < math.inf:
+            raise ValueError("min_score_threshold must be finite and non-negative")
         if not isinstance(self.method, Method):
             self.method = Method(self.method)
 
@@ -372,15 +376,15 @@ def _scan(path, graph: ClickGraph, labels: LabelIndex | None):
 
 
 def _table_faults(rows, cols, vals, method: str):
-    """``(mask, message)`` of each check on the pairs of a whole table but
-    the one for pairs listed twice."""
+    """Each check on the pairs of a whole table but the one for pairs
+    listed twice, as :func:`~clicksim.lines.first_fault` takes it."""
     low, high = _SCORE_RANGES[method]
     with np.errstate(invalid="ignore"):
         out_of_range = (vals < low) | (vals > high)
     return (
-        (rows == cols, "query paired with itself"),
-        (~np.isfinite(vals), "score is not finite"),
-        (out_of_range, f"score outside [{low:g}, {high:g}] for method={method}"),
+        (rows == cols, lambda _: "query paired with itself"),
+        (~np.isfinite(vals), lambda _: "score is not finite"),
+        (out_of_range, lambda _: f"score outside [{low:g}, {high:g}] for method={method}"),
     )
 
 
@@ -390,21 +394,14 @@ def _checked_pairs(path, graph: ClickGraph):
     rows, cols, vals, linenos, method, fault = _scan(path, graph, None)
     n = graph.num_queries
     keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
-    order = np.argsort(keys, kind="stable")
-    repeated = np.zeros(keys.size, dtype=bool)
-    repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    del keys, order
-    faults = [fault] if fault is not None else []
-    faults += [
-        (int(linenos[np.argmax(bad)]), what)
-        for bad, what in (
-            *_table_faults(rows, cols, vals, method),
-            (repeated, "pair listed twice"),
-        )
-        if bad.any()
-    ]
-    if faults:
-        lineno, what = min(faults, key=lambda f: f[0])
+    checks = (
+        *_table_faults(rows, cols, vals, method),
+        (repeated(keys), lambda _: "pair listed twice"),
+    )
+    del keys
+    fault = first_fault(linenos, checks, fault)
+    if fault is not None:
+        lineno, what = fault
         raise ValueError(f"{path}:{lineno}: {what}")
     return rows, cols, vals, method
 

@@ -136,6 +136,15 @@ def test_compute_rejects_bad_decay(demo_file):
     assert "decay" in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--threshold"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_compute_rejects_non_finite_or_negative_engine_numbers(demo_file, tmp_path, flag, value):
+    out = tmp_path / "scores.tsv"
+    proc = run_cli("compute", "--graph", demo_file, f"{flag}={value}", "-o", out, expect=2)
+    assert "finite and non-negative" in proc.stderr
+    assert not out.exists()
+
+
 def test_compute_missing_graph(tmp_path):
     proc = run_cli("compute", "--graph", tmp_path / "nope.tsv", expect=1)
     assert proc.stderr.startswith("error:")

@@ -210,6 +210,62 @@ def test_extract_components_equal_the_per_component_build(make_graph):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+# -- the adjacency index ----------------------------------------------------
+
+
+def _reference_ad_adjacency(graph):
+    # the lexsort build the transposed query adjacency replaced
+    order = np.lexsort((graph._eq, graph._ea))
+    counts = np.bincount(graph._ea, minlength=graph.num_ads)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sparse.csr_matrix(
+        (graph._ecr[order], graph._eq[order].astype(np.int32), indptr.astype(np.int64)),
+        shape=(graph.num_ads, graph.num_queries),
+    )
+
+
+def _with_isolated_nodes():
+    demo = demo_graph()
+    flower, pc = demo.query_id("flower"), demo.query_id("pc")
+    return remove_edges(
+        demo,
+        [(pc, demo.ad_id("hp.com"))]
+        + [(flower, ad) for ad, _ in demo.neighbors(flower)],
+    )
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        demo_graph,
+        lambda: ClickGraph(["q0", "q1"], ["a0"], *([],) * 5),
+        _with_isolated_nodes,
+        # zero rates are edges too, stored like any other weight
+        lambda: ClickGraph.from_records(
+            [("q", "b", 10, 1, 0.1), ("r", "a", 5, 0, 0.0), ("q", "a", 10, 0, 0.0)]
+        ),
+        lambda: generate_synthetic(600, 600, 1800, seed=42),
+    ],
+    ids=["demo", "edgeless", "isolated", "zero-rates", "600-s42"],
+)
+def test_ad_adjacency_and_neighbors_equal_the_references(make_graph):
+    graph = make_graph()
+    got, want = graph.ad_adjacency, _reference_ad_adjacency(graph)
+    assert got.shape == want.shape
+    for name, dtype in (("indptr", np.int32), ("indices", np.int32), ("data", np.float64)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
+    edges = list(graph.edges())
+    for j in range(graph.num_ads):
+        ad = ad_node(j)
+        # edges() runs in (query, ad) order, so these ascend by query
+        assert graph.neighbors(ad) == [(q, stats) for q, a, stats in edges if a == ad]
+        assert graph.degree(ad) == sum(a == ad for _, a, _ in edges)
+    for i in range(graph.num_queries):
+        query = query_node(i)
+        assert graph.neighbors(query) == [(a, stats) for q, a, stats in edges if q == query]
+
+
 # -- synthetic generator -------------------------------------------------
 
 

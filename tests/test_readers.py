@@ -86,6 +86,43 @@ def reference_load(path) -> ClickGraph:
     )
 
 
+def reference_from_records(records) -> ClickGraph:
+    """:meth:`ClickGraph.from_records` as it checked one record at a time."""
+    q_labels, a_labels, q_index, a_index = [], [], {}, {}
+    qs, As, imps, clks, ecrs = [], [], [], [], []
+    seen = set()
+    for row, (query, ad, imp, clk, ecr) in enumerate(records, start=1):
+        where = f"record {row}"
+        query, ad = canonical_label(query), ad.strip()
+        if not query or not ad:
+            raise GraphFormatError(f"{where}: empty query or ad label")
+        if imp < 0 or clk < 0:
+            raise GraphFormatError(f"{where}: negative impression or click count")
+        if clk > imp:
+            raise GraphFormatError(f"{where}: clicks ({clk}) exceed impressions ({imp})")
+        if not math.isfinite(ecr) or ecr < 0.0 or ecr > 1.0:
+            raise GraphFormatError(f"{where}: expected click rate {ecr!r} not in [0, 1]")
+        qi = q_index.setdefault(query, len(q_labels))
+        if qi == len(q_labels):
+            q_labels.append(query)
+        ai = a_index.setdefault(ad, len(a_labels))
+        if ai == len(a_labels):
+            a_labels.append(ad)
+        if (qi, ai) in seen:
+            raise GraphFormatError(f"{where}: duplicate edge ({query!r}, {ad!r})")
+        seen.add((qi, ai))
+        qs.append(qi)
+        As.append(ai)
+        imps.append(imp)
+        clks.append(clk)
+        ecrs.append(ecr)
+    return ClickGraph(
+        q_labels, a_labels, np.array(qs, dtype=np.int64), np.array(As, dtype=np.int64),
+        np.array(imps, dtype=np.int64), np.array(clks, dtype=np.int64),
+        np.array(ecrs, dtype=np.float64),
+    )
+
+
 def reference_table(path, graph) -> sparse.csr_matrix:
     """The score table as the per-line reader built it from a valid dump:
     both triangles as COO arrays, converted by scipy."""
@@ -293,14 +330,23 @@ def graph_lines(tmp_path_factory):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-@pytest.mark.parametrize("at", [4, 9, 10, 23, 60, 180])
+@pytest.mark.parametrize(
+    "at, newline",
+    [
+        pytest.param(at, newline, id=f"{at}{suffix}")
+        for newline, suffix in (("\n", ""), ("\r\n", "-crlf"))
+        for at in (4, 9, 10, 23, 60, 180)
+    ],
+)
 @pytest.mark.parametrize("kind", sorted(GRAPH_FAULTS))
-def test_graph_fault_matches_the_per_line_loader(tmp_path, monkeypatch, graph_lines, kind, at):
+def test_graph_fault_matches_the_per_line_loader(
+    tmp_path, monkeypatch, graph_lines, kind, at, newline
+):
     monkeypatch.setattr(graph_module, "_READ_CHUNK_BYTES", 64)
     lines = list(graph_lines)
     lines[at - 1] = GRAPH_FAULTS[kind](lines, at)
     path = tmp_path / "graph.tsv"
-    _write(path, lines)
+    _write(path, lines, newline)
     with pytest.raises(GraphFormatError) as want:
         reference_load(path)
     assert f"line {at}:" in str(want.value)
@@ -355,3 +401,68 @@ def test_graph_loader_takes_an_empty_file(tmp_path):
     assert_same_graph(load_graph(path), reference_load(path))
     save_graph(demo_graph(), path)
     assert_same_graph(load_graph(path), demo_graph())
+
+
+# -- from_records faults: the same message and record as the per-record loop --
+
+
+def _record(line):
+    query, ad, imp, clk, ecr = _fields(line)
+    return query, ad, int(imp), int(clk), float(ecr)
+
+
+# each fault made of record ``at`` (1-based) of valid records; ``records[2]``
+# is the edge a duplicate repeats
+RECORD_FAULTS = {
+    "empty query": lambda records, at: ("  ", *records[at - 1][1:]),
+    "empty ad": lambda records, at: (records[at - 1][0], " ", *records[at - 1][2:]),
+    "negative impressions": lambda records, at: (*records[at - 1][:2], -1, 0, 0.0),
+    "negative clicks": lambda records, at: (*records[at - 1][:3], -1, 0.0),
+    "clicks above impressions": lambda records, at: (
+        *records[at - 1][:3], records[at - 1][2] + 1, records[at - 1][4]),
+    "rate above one": lambda records, at: (*records[at - 1][:4], 1.000001),
+    "rate below zero": lambda records, at: (*records[at - 1][:4], -1e-6),
+    "rate nan": lambda records, at: (*records[at - 1][:4], math.nan),
+    "rate inf": lambda records, at: (*records[at - 1][:4], math.inf),
+    "duplicate edge": lambda records, at: records[2],
+    "duplicate by canonical label": lambda records, at: (
+        " " + records[2][0].upper(), *records[2][1:]),
+}
+
+
+@pytest.fixture(scope="module")
+def graph_records(graph_lines):
+    return [_record(line) for line in graph_lines]
+
+
+def _record_fault(records) -> str:
+    with pytest.raises(GraphFormatError) as want:
+        reference_from_records(records)
+    with pytest.raises(GraphFormatError) as got:
+        ClickGraph.from_records(records)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def test_from_records_equals_the_per_record_reference(graph_records):
+    assert_same_graph(
+        ClickGraph.from_records(graph_records), reference_from_records(graph_records)
+    )
+    assert_same_graph(ClickGraph.from_records([]), reference_from_records([]))
+
+
+@pytest.mark.parametrize("at", [4, 23, 60, 180])
+@pytest.mark.parametrize("kind", sorted(RECORD_FAULTS))
+def test_from_records_fault_matches_the_per_record_loop(graph_records, kind, at):
+    records = list(graph_records)
+    records[at - 1] = RECORD_FAULTS[kind](records, at)
+    assert _record_fault(records).startswith(f"record {at}: ")
+
+
+@pytest.mark.parametrize("later", sorted(RECORD_FAULTS))
+@pytest.mark.parametrize("earlier", sorted(RECORD_FAULTS))
+def test_from_records_names_the_earlier_of_two_faults(graph_records, earlier, later):
+    records = list(graph_records)
+    records[11] = RECORD_FAULTS[earlier](records, 12)
+    records[29] = RECORD_FAULTS[later](records, 30)
+    assert _record_fault(records).startswith("record 12: ")

@@ -121,6 +121,11 @@ def test_threshold_drops_small_scores(demo):
         {"max_iterations": 0},
         {"convergence_epsilon": -1e-9},
         {"min_score_threshold": -1.0},
+        *(
+            {name: value}
+            for name in ("convergence_epsilon", "min_score_threshold")
+            for value in (float("nan"), float("inf"), float("-inf"))
+        ),
     ],
 )
 def test_params_validation(kwargs):
