@@ -24,14 +24,13 @@ from scipy import sparse
 from .lines import (
     _LABEL_WIDTH,
     LabelTable,
-    byte_chunks,
     first_fault,
     format_lines,
     label_keys,
     parse_floats,
     parse_ints,
     repeated,
-    split_fields,
+    scan,
 )
 
 _READ_CHUNK_BYTES = 1 << 20
@@ -317,49 +316,39 @@ def load_graph(path: str | Path) -> ClickGraph:
     number Python cannot parse, and the faults ``from_records`` rejects
     raise :class:`GraphFormatError` naming the first offending line.
 
-    The file is read a byte chunk at a time and parsed in bulk by
-    :mod:`~clicksim.lines`.  A chunk it cannot prove it reads as Python's
-    text mode does (a ``\\r`` or NUL byte, bytes that are not UTF-8, a
-    label longer than 64 bytes) and any fault send the whole file through
-    :func:`_parse_lines`, which numbers the lines to name the fault.
+    The file is read once, a byte chunk at a time, and parsed in bulk by
+    :mod:`~clicksim.lines`, which numbers the lines to name a fault.
     """
-    parts = []
-    for chunk in byte_chunks(path, _READ_CHUNK_BYTES):
-        part = _bulk_edge_chunk(chunk)
-        if part is None:
-            break
-        parts.append(part)
-    else:
-        columns = [np.concatenate(column) for column in zip(*parts)] or _columns([])
-        graph = _edges_graph(*columns)
-        if graph is not None:
-            return graph
-    with open(path, encoding="utf-8") as fh:
-        rows, numbers, fault = _parse_lines(fh)
-    return _edges_graph(*_columns(rows), numbers, "line", fault)
+    columns, numbers, fault = scan(path, _READ_CHUNK_BYTES, 5, _is_graph_comment, _edge_chunk)
+    return _edges_graph(*columns, numbers, "line", fault)
 
 
-def _parse_lines(lines: Iterable[str]):
-    """The ``(query, ad, impressions, clicks, ecr)`` rows of graph file
-    lines and their line numbers, counted from 1, up to the first line
-    without 5 tab-separated fields or with a number that ``int()`` or
-    ``float()`` rejects, and that line's fault as ``(line number,
-    message)``, or ``None``."""
-    rows, numbers = [], []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if _is_graph_comment(line):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            return rows, numbers, (lineno, f"expected 5 tab-separated fields, got {len(fields)}")
-        query, ad, imp, clk, ecr = fields
-        try:
-            rows.append((query, ad, int(imp), int(clk), float(ecr)))
-        except ValueError:
-            return rows, numbers, (lineno, "non-numeric impressions/clicks/ecr")
-        numbers.append(lineno)
-    return rows, numbers, None
+def _edge_chunk(fields):
+    """``(query keys, ad keys, impressions, clicks, ecr)`` of a chunk's
+    edges and its first parse fault as ``(line number, message)``, or
+    ``None``: a line without 5 tab-separated fields, or a number that
+    ``int()`` or ``float()`` rejects.  A label is a zero-padded ``bytes``
+    key, or its ``str`` where that is over 64 bytes or holds a NUL."""
+    fault = None
+    if fields.misfit is not None:
+        number, count = fields.misfit
+        fault = (number, f"expected 5 tab-separated fields, got {count}")
+    longest = int((fields.ends[:, :2] - fields.starts[:, :2]).max(initial=1))
+    width = -(-min(longest, _LABEL_WIDTH) // 8) * 8
+    labels = []
+    for column in (0, 1):
+        keys, irregular = label_keys(fields, column, width)
+        keys = keys.view(f"S{width}").ravel()
+        if irregular.any():
+            keys = keys.astype(object)
+            for k in np.flatnonzero(irregular).tolist():
+                keys[k] = fields.text(k, column)
+        labels.append(keys)
+    (imp, bad_imp), (clk, bad_clk), (ecr, bad_ecr) = (
+        parse_ints(fields, 2), parse_ints(fields, 3), parse_floats(fields, 4)
+    )
+    checks = [(bad_imp | bad_clk | bad_ecr, lambda _: "non-numeric impressions/clicks/ecr")]
+    return (*labels, imp, clk, ecr), first_fault(fields.numbers, checks, fault)
 
 
 def _columns(rows: list) -> list[np.ndarray]:
@@ -374,40 +363,15 @@ def _is_graph_comment(line: str) -> bool:
     return not line.strip() or line.lstrip().startswith("#")
 
 
-def _bulk_edge_chunk(chunk: bytes):
-    """``(query keys, ad keys, impressions, clicks, ecr)`` of a chunk's
-    edges, the labels raw as zero-padded ``bytes`` keys, or ``None``
-    where :mod:`~clicksim.lines` cannot prove the chunk reads as
-    :func:`_parse_lines` reads it, a line is malformed or a label is
-    longer than 64 bytes."""
-    fields = split_fields(chunk, 5, _is_graph_comment)
-    if fields is None:
-        return None
-    longest = int((fields.ends[:, :2] - fields.starts[:, :2]).max(initial=1))
-    if longest > _LABEL_WIDTH:
-        return None
-    width = -(-longest // 8) * 8
-    keys = [
-        label_keys(fields, column, width)[0].view(f"S{width}").ravel()
-        for column in (0, 1)
-    ]
-    numbers = (parse_ints(fields, 2), parse_ints(fields, 3), parse_floats(fields, 4))
-    if any(column is None for column in numbers):
-        return None
-    return (*keys, *numbers)
-
-
-def _edges_graph(
-    queries, ads, imp, clk, ecr, numbers=None, noun="line", fault=None
-) -> ClickGraph | None:
+def _edges_graph(queries, ads, imp, clk, ecr, numbers, noun, fault=None) -> ClickGraph:
     """The graph of the edge columns, labels raw (``str`` or UTF-8 ``bytes``).
 
     Labels are canonicalized once per distinct raw label.  Each row is
     checked for an empty label, a negative count, clicks above
     impressions, a rate outside ``[0, 1]`` and an edge listed before, in
-    that order.  A fault gives ``None`` without ``numbers``; with them,
-    the earlier of the first flagged row and the parse ``fault`` raises
-    :class:`GraphFormatError` naming it as ``{noun} {number}``.
+    that order.  The earlier of the first flagged row and the parse
+    ``fault`` raises :class:`GraphFormatError` naming it as ``{noun}
+    {number}``, where ``numbers[row]`` numbers a row.
     """
     q_labels, q_idx = _first_seen(queries, canonical_label)
     a_labels, a_idx = _first_seen(ads, str.strip)
@@ -424,13 +388,9 @@ def _edges_graph(
             lambda k: f"duplicate edge ({q_labels[q_idx[k]]!r}, {a_labels[a_idx[k]]!r})",
         ),
     )
-    if numbers is None:
-        if any(bad.any() for bad, _ in checks):
-            return None
-    else:
-        fault = first_fault(numbers, checks, fault)
-        if fault is not None:
-            raise GraphFormatError(f"{noun} {fault[0]}: {fault[1]}")
+    fault = first_fault(numbers, checks, fault)
+    if fault is not None:
+        raise GraphFormatError(f"{noun} {fault[0]}: {fault[1]}")
     return ClickGraph(q_labels, a_labels, q_idx, a_idx, imp, clk, ecr)
 
 

@@ -21,27 +21,31 @@ Python prints them.  Every other value -- an exact tie such as
 spliced into the buffer.  Labels longer than a table's slot width are
 spliced the same way.
 
-The read side mirrors this.  :func:`byte_chunks` cuts a file into byte
-chunks that end at a newline, :func:`split_fields` finds the tab-separated
-fields of a chunk's data lines, :func:`parse_floats` and
+The read side mirrors this.  :func:`scan` reads a file through
+:func:`byte_chunks`, which cuts it into byte chunks that end at a
+newline; :func:`split_fields` numbers a chunk's lines and finds the
+tab-separated fields of its data lines; :func:`parse_floats` and
 :func:`parse_ints` parse a column of numbers and :class:`LabelIndex`
-looks up a column of labels.  Each works on whole columns and proves its
-result equal to what Python's text reading, ``float()``, ``int()`` and a
-label ``dict`` give, and gives ``None`` (or ``-1`` for a label) where it
-cannot, so that the caller reads that input through Python instead:
+looks up a column of labels.  Each works on whole columns and gives what
+Python's text reading, ``float()``, ``int()`` and a label ``dict`` give,
+so the readers built on them read every chunk this way, odd input
+included, and name each fault's line themselves:
 
-- A chunk holding a ``\\r`` or NUL byte, or bytes that are not UTF-8, is
-  left to a text-mode reader (:func:`text_lines`), so universal newlines
-  and decoding stay Python's.
+- A chunk holding a ``\\r`` is first translated through
+  :func:`text_lines`, so universal newlines stay Python's, and bytes
+  that are not UTF-8 raise :class:`UnicodeDecodeError`.  NUL bytes are
+  kept.
 - A field matching ``-?\\d+\\.\\d{6}`` with at most 15 digits parses as
   ``int(digits) / 1e6``, signed.  That equals ``float(field)``: both
   ``10**6`` and every integer below ``2**53`` are exact doubles and IEEE
   division rounds correctly, so both round the same real number.  A
   field matching ``\\d+`` with at most 16 digits parses as ``int(field)``.
-  Every other field goes through ``float()`` or ``int()`` one at a time.
+  Every other field goes through ``float()`` or ``int()`` one at a time,
+  and a mask marks the fields they reject.
 - A label is gathered into a fixed-width, zero-padded key and found in a
   hash table of the known labels, then compared byte for byte.  Fields
-  longer than the table's widest label never match.
+  longer than the table's widest label or holding a NUL byte never
+  match, and the caller looks them up through Python.
 """
 
 import io
@@ -281,49 +285,59 @@ class Fields(NamedTuple):
     """The fields of a chunk's data lines.
 
     ``buf`` holds the chunk's bytes between zero pads, and field ``k`` of
-    data line ``i`` is ``buf[starts[i, k]:ends[i, k]]``.  ``skipped``
-    holds the comment and blank lines, as text.
+    data row ``i`` is ``buf[starts[i, k]:ends[i, k]]``.  ``numbers`` holds
+    each row's line number, a ``range`` where the rows are consecutive
+    lines.  ``skipped`` holds the comment and blank lines as ``(number,
+    text)``.  ``misfit`` is ``(number, field count)`` of the first data
+    line without the fields asked for, or ``None``; no row from there on
+    is kept.  ``next_line`` numbers the line after the chunk, and
+    ``nuls`` holds the offsets of NUL bytes in ``buf``.
     """
 
     buf: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    skipped: list[str]
+    numbers: range | np.ndarray
+    skipped: list[tuple[int, str]]
+    misfit: tuple[int, int] | None
+    next_line: int
+    nuls: np.ndarray
 
     def text(self, row: int, column: int) -> str:
         lo, hi = self.starts[row, column], self.ends[row, column]
         return self.buf[lo:hi].tobytes().decode("utf-8")
 
 
-def split_fields(chunk: bytes, count: int, skip: Callable[[str], bool]) -> Fields | None:
+def split_fields(
+    chunk: bytes, count: int, skip: Callable[[str], bool], first: int
+) -> Fields:
     """Split the lines of ``chunk`` that ``skip`` rejects into ``count``
-    tab-separated fields.
+    tab-separated fields, numbering the lines from ``first``.
 
-    ``skip`` sees each line that starts with ``#``, with whitespace or
-    with a non-ASCII byte, as text with its newline, and returns whether
-    it is a comment or blank; every other line is data.  Returns ``None``
-    when the chunk holds a ``\\r`` or NUL byte, is not UTF-8, or has a
-    data line without ``count`` fields.
+    The lines are those text mode gives: a chunk holding a ``\\r`` goes
+    through :func:`text_lines` first, and bytes that are not UTF-8 raise
+    :class:`UnicodeDecodeError`.  ``skip`` sees each line that starts
+    with ``#``, with whitespace or with a non-ASCII byte, as text with its
+    newline, and returns whether it is a comment or blank; every other
+    line is data.
     """
-    if b"\r" in chunk or b"\0" in chunk:
-        return None
-    if not chunk.isascii():
-        try:
-            chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    last = b"" if chunk.endswith(b"\n") else b"\n"
+    if b"\r" in chunk:
+        chunk = "".join(text_lines(chunk)).encode("utf-8")
+    elif not chunk.isascii():
+        chunk.decode("utf-8")
+    last = b"" if chunk.endswith(b"\n") or not chunk else b"\n"
     buf = np.frombuffer(b"".join((_PAD, chunk, last, _PAD)), dtype=np.uint8)
+    inner = buf[len(_PAD) : -len(_PAD)]
     # tabs and newlines, found in one pass with the few other control
     # bytes below them, which are dropped after
-    sep = np.flatnonzero(buf[len(_PAD) : -len(_PAD)] < _NEWLINE + 1) + len(_PAD)
+    sep = np.flatnonzero(inner < _NEWLINE + 1) + len(_PAD)
     kind = buf[sep]
     if (kind < _TAB).any():
         sep = sep[kind >= _TAB]
         kind = buf[sep]
     at_newline = kind == _NEWLINE
     line_end = sep[at_newline]
-    line_start = np.concatenate(([len(_PAD)], line_end[:-1] + 1))
+    line_start = np.concatenate(([len(_PAD)], line_end + 1))[: line_end.size]
 
     skipped = []
     data = np.ones(line_end.size, dtype=bool)
@@ -331,20 +345,66 @@ def split_fields(chunk: bytes, count: int, skip: Callable[[str], bool]) -> Field
         text = buf[line_start[i] : line_end[i] + 1].tobytes().decode("utf-8")
         if skip(text):
             data[i] = False
-            skipped.append(text)
+            skipped.append((first + i, text))
     if skipped:
         kept = data[np.cumsum(at_newline) - at_newline]
         sep, at_newline = sep[kept], at_newline[kept]
-    rows = int(data.sum())
+    lines = np.flatnonzero(data) if skipped else None
+    rows = line_end.size - len(skipped)
+    misfit = None
     # each data line ends in its one newline, so every line has ``count``
     # fields exactly when every ``count``-th separator is a newline
     if sep.size != rows * count or not at_newline[count - 1 :: count].all():
-        return None
+        row_of = np.cumsum(at_newline) - at_newline
+        per_line = np.bincount(row_of, minlength=rows)
+        rows = int(np.argmax(per_line != count))
+        line = rows if lines is None else int(lines[rows])
+        misfit = (first + line, int(per_line[rows]))
+        sep = sep[: rows * count]
     ends = sep.reshape(rows, count)
     starts = np.empty_like(ends)
-    starts[:, 0] = line_start[data]
+    starts[:, 0] = line_start[data][:rows]
     starts[:, 1:] = ends[:, :-1] + 1
-    return Fields(buf, starts, ends, skipped)
+    numbers = range(first, first + rows) if lines is None else lines[:rows] + first
+    nuls = np.flatnonzero(inner == 0) + len(_PAD) if b"\0" in chunk else np.empty(0, np.int64)
+    return Fields(buf, starts, ends, numbers, skipped, misfit, first + line_end.size, nuls)
+
+
+class LineNumbers:
+    """The line numbers of the rows of many chunks, kept as each chunk's
+    :attr:`Fields.numbers`, so a chunk of consecutive lines costs no
+    memory per row.  ``numbers[row]`` looks one up."""
+
+    def __init__(self, chunks: list):
+        self._chunks = chunks
+        self._firsts = np.cumsum([0] + [len(numbers) for numbers in chunks])
+
+    def __getitem__(self, row: int) -> int:
+        k = int(np.searchsorted(self._firsts, row, side="right")) - 1
+        return int(self._chunks[k][row - self._firsts[k]])
+
+
+def scan(path: str | Path, size: int, count: int, skip: Callable[[str], bool], read):
+    """Read a file of ``count``-field lines :func:`byte_chunks` at a time.
+
+    ``read(fields)`` turns a chunk's :class:`Fields` into a tuple of
+    columns and the chunk's first fault as ``(line number, message)``, or
+    ``None``.  Reading stops after the chunk holding a fault.  Returns
+    each column over every chunk read, their rows' :class:`LineNumbers`
+    and the fault.
+    """
+    # typed columns, for an empty file
+    parts, numbers, first = [read(split_fields(b"", count, skip, 1))[0]], [], 1
+    fault = None
+    for chunk in byte_chunks(path, size):
+        fields = split_fields(chunk, count, skip, first)
+        part, fault = read(fields)
+        parts.append(part)
+        numbers.append(fields.numbers)
+        first = fields.next_line
+        if fault is not None:
+            break
+    return [np.concatenate(column) for column in zip(*parts)], LineNumbers(numbers), fault
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -374,9 +434,9 @@ def _eight_digits(words: np.ndarray, count: np.ndarray):
     return value, digits
 
 
-def parse_floats(fields: Fields, column: int) -> np.ndarray | None:
-    """``float()`` of each field of ``column``, or ``None`` if one is not a
-    number."""
+def parse_floats(fields: Fields, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of each field of ``column``, and a mask of the fields
+    ``float()`` rejects, whose values are 0."""
     buf, starts, ends = fields.buf, fields.starts[:, column], fields.ends[:, column]
     words = _words(buf)
     negative = buf[starts] == _MINUS
@@ -390,17 +450,18 @@ def parse_floats(fields: Fields, column: int) -> np.ndarray | None:
     fast = (whole >= 1) & (whole <= 9) & (buf[ends - 7] == _DOT) & low_digits & high_digits
     values = (high * np.uint64(10**7) + low).astype(np.float64) / 1e6
     np.negative(values, out=values, where=negative)
-    try:
-        for i in np.flatnonzero(~fast).tolist():
+    bad = np.zeros(values.size, dtype=bool)
+    for i in np.flatnonzero(~fast).tolist():
+        try:
             values[i] = float(fields.text(i, column))
-    except ValueError:
-        return None
-    return values
+        except ValueError:
+            values[i], bad[i] = 0.0, True
+    return values, bad
 
 
-def parse_ints(fields: Fields, column: int) -> np.ndarray | None:
-    """``int()`` of each field of ``column`` as int64, or ``None`` if one is
-    not an integer or does not fit."""
+def parse_ints(fields: Fields, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """``int()`` of each field of ``column`` as int64, and a mask of the
+    fields ``int()`` rejects or int64 cannot hold, whose values are 0."""
     ends = fields.ends[:, column]
     lengths = ends - fields.starts[:, column]
     words = _words(fields.buf)
@@ -408,25 +469,34 @@ def parse_ints(fields: Fields, column: int) -> np.ndarray | None:
     high, high_digits = _eight_digits(words[ends - 16], np.clip(lengths - 8, 0, 8))
     fast = (lengths >= 1) & (lengths <= 16) & low_digits & high_digits
     values = (high * np.uint64(10**8) + low).astype(np.int64)
-    try:
-        for i in np.flatnonzero(~fast).tolist():
+    bad = np.zeros(values.size, dtype=bool)
+    for i in np.flatnonzero(~fast).tolist():
+        try:
             values[i] = int(fields.text(i, column))
-    except (ValueError, OverflowError):
-        return None
-    return values
+        except (ValueError, OverflowError):
+            values[i], bad[i] = 0, True
+    return values, bad
 
 
 def label_keys(fields: Fields, column: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each field of ``column`` zero-padded to ``width`` bytes, a multiple
     of 8, as rows of ``width // 8`` little-endian words; and a mask of
-    the fields longer than ``width``, whose rows are cut."""
-    starts = fields.starts[:, column]
-    lengths = fields.ends[:, column] - starts
+    the fields whose rows do not name them: those longer than ``width``,
+    whose rows are cut, and those holding a NUL byte, which the padding
+    hides."""
+    starts, ends = fields.starts[:, column], fields.ends[:, column]
+    lengths = ends - starts
     words = _words(fields.buf)
     keys = np.empty((starts.size, width // 8), dtype="<u8")
     for k in range(width // 8):
         keys[:, k] = words[starts + 8 * k] & _PREFIX_MASKS[np.clip(lengths - 8 * k, 0, 8)]
-    return keys, lengths > width
+    irregular = lengths > width
+    if fields.nuls.size:
+        # the last field starting at or before each NUL, if it reaches it
+        row = np.searchsorted(starts, fields.nuls, side="right") - 1
+        inside = (row >= 0) & (fields.nuls < ends[np.maximum(row, 0)])
+        irregular[row[inside]] = True
+    return keys, irregular
 
 
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -438,8 +508,9 @@ class LabelIndex:
     The labels are kept as zero-padded keys of ``width`` bytes, ``width``
     a multiple of 8 up to 64, in an open-addressing hash table with
     linear probing.  Labels longer than 64 bytes or holding a NUL byte
-    are left out, so the caller finds them through Python: fields never
-    hold NUL, so a zero-padded key names one label.
+    are left out, and so are such fields (see :func:`label_keys`), so
+    the caller finds them through Python and a zero-padded key names one
+    label.
     """
 
     def __init__(self, labels):
@@ -515,18 +586,18 @@ class LabelIndex:
         Where most fields repeat the one before, as in the sorted first
         column of a dump, each run of equal fields is looked up once.
         """
-        keys, too_long = label_keys(fields, column, self.width)
+        keys, irregular = label_keys(fields, column, self.width)
         keys = keys.T
-        new = too_long.copy()  # a cut key is a run of its own
+        new = irregular.copy()  # a key that names no field is a run of its own
         new[:1] = True
-        new[1:] |= too_long[:-1]
+        new[1:] |= irregular[:-1]
         for word in keys:
             new[1:] |= word[1:] != word[:-1]
         if 2 * np.count_nonzero(new) > new.size:
             found = self._lookup(keys)
-            found[too_long] = -1
+            found[irregular] = -1
             return found
         runs = np.flatnonzero(new)
         found = self._lookup(keys[:, runs])
-        found[too_long[runs]] = -1
+        found[irregular[runs]] = -1
         return found[np.cumsum(new) - 1]

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .graph import NodeId, NodeKind, canonical_label
+from .graph import NodeId, NodeKind, canonical_label, check_query_labels_writable
 from .lines import micro_units
 from .simrank import SimilarityScores, label_ranks, printed_score
 
@@ -347,7 +347,13 @@ def depth_histogram(
 
 
 def write_rewrites(lists: Iterable[RewriteList], destination) -> None:
-    """Write ``query<TAB>rank<TAB>rewrite<TAB>score`` lines (rank is 1-based)."""
+    """Write ``query<TAB>rank<TAB>rewrite<TAB>score`` lines (rank is 1-based).
+
+    A query with rewrites whose label starts with ``#`` is refused before
+    anything is written, since its lines would read back as comments.
+    """
+    lists = list(lists)
+    check_query_labels_writable(lst.query for lst in lists if lst.rewrites)
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as fh:
             write_rewrites(lists, fh)

@@ -32,17 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import ClickGraph, NodeId, NodeKind, _pattern, check_query_labels_writable
-from .lines import (
-    LabelIndex,
-    LabelTable,
-    byte_chunks,
-    first_fault,
-    format_lines,
-    parse_floats,
-    repeated,
-    split_fields,
-    text_lines,
-)
+from .lines import LabelIndex, LabelTable, first_fault, format_lines, parse_floats, repeated, scan
 
 _BLOCK_ROWS = 1024
 _READ_CHUNK_BYTES = 1 << 20
@@ -203,25 +193,23 @@ class SimilarityScores:
     def read(cls, path: str | Path, graph: ClickGraph) -> "SimilarityScores":
         """Load a score dump produced by :meth:`write` against ``graph``.
 
-        The file is read a byte chunk at a time into numpy arrays.  A
-        line without 3 tab-separated fields, an unknown query label, a
-        score that is not a number, a query paired with itself, a score
-        that is not finite or lies outside the declared method's range,
-        a pair listed twice (in either label order) and a ``# method=``
-        line naming no known method are errors naming the first
-        offending line in the file, rather than being merged into the
-        table.
+        The file is read once, a byte chunk at a time, into numpy arrays
+        (see :mod:`~clicksim.lines`).  A line without 3 tab-separated
+        fields, an unknown query label, a score that is not a number, a
+        query paired with itself, a score that is not finite or lies
+        outside the declared method's range, a pair listed twice (in
+        either label order) and a ``# method=`` line naming no known
+        method are errors naming the first offending line in the file,
+        rather than being merged into the table.  Only a dump with a pair
+        listed twice is read a second time, to name that pair's line.
         """
-        *half, _, method, fault = _scan(path, graph, LabelIndex(graph.query_labels))
-        matrix = None
-        if fault is None and not any(
-            bad.any() for bad, _ in _table_faults(*half, method)
-        ):
-            matrix = _symmetric(half, graph.num_queries)
+        *half, numbers, method, fault = _read_pairs(path, graph)
+        if fault is not None or any(bad.any() for bad, _ in _table_faults(*half, method)):
+            _raise_first_fault(path, graph, *half, numbers, method, fault)
+        matrix = _symmetric(half, graph.num_queries)
         if matrix is None:
-            # a fault somewhere: read again, line by line, to name it
-            *half, method = _checked_pairs(path, graph)
-            matrix = _symmetric(half, graph.num_queries)
+            # a pair listed twice and no other fault: read again to name it
+            _raise_first_fault(path, graph, *_read_pairs(path, graph))
         return cls(
             query_labels=graph.query_labels,
             matrix=matrix,
@@ -247,24 +235,19 @@ def _is_dump_comment(line: str) -> bool:
     return line.startswith("#") or line.isspace()
 
 
-def _declared_method(lines: list[str], first: int):
-    """The method the last ``# method=`` line among ``lines`` declares
-    (``None`` if there is none), and the fault of the first line naming
-    no known method as ``(line number, message)``, or ``None``.  The
-    lines are numbered from ``first``; the scan stops at a fault."""
+def _declared_method(skipped: list[tuple[int, str]]):
+    """The method the last ``# method=`` line among the ``skipped``
+    ``(line number, text)`` lines declares (``None`` if there is none),
+    and the fault of the first line naming no known method as ``(line
+    number, message)``, or ``None``.  The scan stops at a fault."""
     declared = None
-    for i, line in enumerate(lines):
+    for number, line in skipped:
         if line.startswith("# method="):
             name = line.split("=", 1)[1].strip()
             if name not in _SCORE_RANGES:
-                return declared, (first + i, f"unknown method {name!r}")
+                return declared, (number, f"unknown method {name!r}")
             declared = name
     return declared, None
-
-
-def _index_type(graph: ClickGraph):
-    """The index type a CSR matrix of the graph's score table uses."""
-    return np.int32 if graph.num_queries < 2**31 else np.int64
 
 
 def _query_index(graph: ClickGraph, text: str) -> int:
@@ -273,106 +256,46 @@ def _query_index(graph: ClickGraph, text: str) -> int:
     return graph.query_id(text).index if found is None else found
 
 
-def _parse_dump_lines(lines: list[str], first: int, graph: ClickGraph):
-    """Parse dump lines numbered from ``first``, one at a time.
-
-    This is the reader of every chunk the bulk reader cannot prove it
-    reads the same way, and of the whole file when there is a fault to
-    name.  Returns ``(rows, cols, scores, line numbers)`` of the pairs
-    read, the method the last ``# method=`` line declares (``None`` if
-    there is none) and the chunk's first parse fault as ``(line number,
-    message)``, or ``None``.  Pairs are read up to the first line that
-    cannot be parsed into one; pairs after a fault can only be faulty at
-    later lines, so they never change which fault the caller reports.
-    The checks that need the whole table are left to the caller.
+def _read_pairs(path, graph: ClickGraph):
+    """The rows, columns and scores of a dump's pairs, their line numbers
+    (:class:`~clicksim.lines.LineNumbers`), the declared method and the
+    first fault met in reading, as ``(line number, message)``, or
+    ``None``.  Within a line, a field count other than 3 comes first,
+    then an unknown first label, an unknown second label and a score that
+    is not a number.  Reading stops at the chunk holding the fault;
+    pairs after it can only be faulty at later lines, so they never
+    change which fault the caller reports.  The checks that need the
+    whole table are left to the caller.
     """
-    declared, fault = _declared_method(lines, first)
-    rows, cols, vals, numbers = [], [], [], []
-    for lineno, line in enumerate(lines, start=first):
-        if fault is not None and fault[0] < lineno:
-            break
-        if _is_dump_comment(line):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            fault = (lineno, "expected 3 tab-separated fields")
-            break
-        try:
-            row, col = (_query_index(graph, text) for text in fields[:2])
-        except ValueError as exc:
-            fault = (lineno, str(exc))
-            break
-        try:
-            vals.append(float(fields[2]))
-        except ValueError:
-            fault = (lineno, "score is not a number")
-            break
-        rows.append(row)
-        cols.append(col)
-        numbers.append(lineno)
-    index_type = _index_type(graph)
-    part = (
-        np.array(rows, dtype=index_type),
-        np.array(cols, dtype=index_type),
-        np.array(vals, dtype=np.float64),
-        np.array(numbers, dtype=np.int64),
-    )
-    return part, declared, fault
-
-
-def _bulk_dump_chunk(chunk: bytes, graph: ClickGraph, labels: LabelIndex):
-    """The pairs of a dump chunk read in bulk, as :func:`_parse_dump_lines`
-    gives them but with no line numbers, or ``None`` where
-    :mod:`~clicksim.lines` cannot prove the chunk reads as that reads
-    it, or it holds a fault."""
-    fields = split_fields(chunk, 3, _is_dump_comment)
-    if fields is None:
-        return None
-    declared, fault = _declared_method(fields.skipped, 1)
-    if fault is not None:
-        return None
-    columns = []
-    for column in (0, 1):
-        index = labels.find(fields, column)
-        for k in np.flatnonzero(index < 0).tolist():
-            try:
-                index[k] = _query_index(graph, fields.text(k, column))
-            except ValueError:
-                return None
-        columns.append(index.astype(_index_type(graph)))
-    scores = parse_floats(fields, 2)
-    if scores is None:
-        return None
-    return (*columns, scores, np.empty(0, dtype=np.int64)), declared, None
-
-
-def _scan(path, graph: ClickGraph, labels: LabelIndex | None):
-    """Read a dump a byte chunk at a time, each chunk in bulk where
-    ``labels`` is given and the bulk reader takes it, else line by line.
-
-    Returns the rows, columns, scores and line numbers of the pairs
-    read, the declared method and the first parse fault, at which the
-    reading stops.  Line numbers and faults are right only when every
-    chunk is read line by line: a bulk reading stands only if it finds
-    no fault at all.
-    """
+    labels = LabelIndex(graph.query_labels)
     method = Method.SIMPLE.value
-    parts = [_parse_dump_lines([], 1, graph)[0]]  # typed, for an empty file
-    fault = None
-    first = 1
-    for chunk in byte_chunks(path, _READ_CHUNK_BYTES):
-        read = None if labels is None else _bulk_dump_chunk(chunk, graph, labels)
-        if read is None:
-            lines = text_lines(chunk)
-            read = _parse_dump_lines(lines, first, graph)
-            first += len(lines)
-        part, declared, fault = read
-        parts.append(part)
+
+    def read(fields):
+        nonlocal method
+        declared, fault = _declared_method(fields.skipped)
         method = declared or method
-        if fault is not None:
-            break
-    rows, cols, vals, linenos = map(np.concatenate, zip(*parts))
-    return rows, cols, vals, linenos, method, fault
+        if fields.misfit is not None:
+            misfit = (fields.misfit[0], "expected 3 tab-separated fields")
+            fault = min(fault or misfit, misfit)
+        columns, checks = [], []
+        for column in (0, 1):
+            index = labels.find(fields, column)
+            unknown = {}
+            for k in np.flatnonzero(index < 0).tolist():
+                try:
+                    index[k] = _query_index(graph, fields.text(k, column))
+                except ValueError as exc:
+                    unknown[k] = str(exc)
+            columns.append(index.astype(np.int32 if graph.num_queries < 2**31 else np.int64))
+            flagged = np.zeros(index.size, dtype=bool)
+            flagged[list(unknown)] = True
+            checks.append((flagged, unknown.__getitem__))
+        scores, bad = parse_floats(fields, 2)
+        checks.append((bad, lambda _: "score is not a number"))
+        return (*columns, scores), first_fault(fields.numbers, checks, fault)
+
+    columns, numbers, fault = scan(path, _READ_CHUNK_BYTES, 3, _is_dump_comment, read)
+    return *columns, numbers, method, fault
 
 
 def _table_faults(rows, cols, vals, method: str):
@@ -388,22 +311,15 @@ def _table_faults(rows, cols, vals, method: str):
     )
 
 
-def _checked_pairs(path, graph: ClickGraph):
-    """``(rows, cols, scores, method)`` of a dump read line by line, or a
-    :class:`ValueError` naming the first offending line in the file."""
-    rows, cols, vals, linenos, method, fault = _scan(path, graph, None)
+def _raise_first_fault(path, graph: ClickGraph, rows, cols, vals, numbers, method, fault):
+    """Raise a :class:`ValueError` naming the first offending line of the
+    dump at ``path``: the parse ``fault``, a row :func:`_table_faults`
+    flags, or a pair listed twice (in either order)."""
     n = graph.num_queries
     keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
-    checks = (
-        *_table_faults(rows, cols, vals, method),
-        (repeated(keys), lambda _: "pair listed twice"),
-    )
-    del keys
-    fault = first_fault(linenos, checks, fault)
-    if fault is not None:
-        lineno, what = fault
-        raise ValueError(f"{path}:{lineno}: {what}")
-    return rows, cols, vals, method
+    checks = (*_table_faults(rows, cols, vals, method), (repeated(keys), lambda _: "pair listed twice"))
+    number, message = first_fault(numbers, checks, fault)
+    raise ValueError(f"{path}:{number}: {message}")
 
 
 def _symmetric(half: list, n: int) -> sparse.csr_matrix | None:

@@ -112,6 +112,17 @@ def test_load_reports_the_earliest_fault(tmp_path):
         load_graph(path)
 
 
+def test_load_names_the_line_of_a_count_int64_cannot_hold(tmp_path):
+    path = tmp_path / "big.tsv"
+    path.write_text("q1\ta1\t10\t1\t0.1\nq2\ta1\t100000000000000000000\t1\t0.1\n")
+    with pytest.raises(GraphFormatError, match=r"^line 2: non-numeric impressions/clicks/ecr$"):
+        load_graph(path)
+    # an earlier check fault is named first
+    path.write_text("q1\ta1\t5\t9\t0.1\nq2\ta1\t100000000000000000000\t1\t0.1\n")
+    with pytest.raises(GraphFormatError, match=r"^line 1: clicks \(9\) exceed impressions \(5\)$"):
+        load_graph(path)
+
+
 def test_writers_refuse_query_labels_read_back_as_comments(tmp_path):
     graph = ClickGraph.from_records(
         [("q", "a", 10, 1, 0.1), ("#deals", "a", 10, 1, 0.1), ("#sale", "a", 10, 1, 0.1)]

@@ -292,16 +292,29 @@ def _never(line):
 def _column(texts, count=2):
     """The fields of a chunk of ``label<TAB>text`` lines, one per text."""
     chunk = "".join(f"x\t{t}\n" for t in texts).encode("utf-8")
-    fields = split_fields(chunk, count, _never)
-    assert fields is not None
+    fields = split_fields(chunk, count, _never, 1)
+    assert fields.misfit is None
     return fields
 
 
-def _python_floats(texts):
-    try:
-        return np.array([float(t) for t in texts], dtype=np.float64)
-    except ValueError:
-        return None
+def _python_numbers(texts, parse, dtype):
+    """``parse`` of each text, 0 where it raises, and a mask of those."""
+    values, bad = [], []
+    for text in texts:
+        try:
+            values.append(parse(text))
+            bad.append(False)
+        except ValueError:
+            values.append(0)
+            bad.append(True)
+    return np.array(values, dtype=dtype), bad
+
+
+def _int64(text):
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("does not fit int64")
+    return value
 
 
 number_text = st.one_of(
@@ -319,33 +332,30 @@ number_text = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(number_text, min_size=1, max_size=40))
 def test_parse_floats_equals_float(texts):
-    want = _python_floats(texts)
-    got = parse_floats(_column(texts), 1)
-    if want is None:
-        assert got is None
-    else:
-        # bit for bit, signed zeros and nans included
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want, want_bad = _python_numbers(texts, float, np.float64)
+    got, bad = parse_floats(_column(texts), 1)
+    # the mask is exactly the fields float() rejects
+    assert bad.tolist() == want_bad
+    # bit for bit, signed zeros and nans included, 0.0 where rejected
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(number_text, min_size=1, max_size=40))
 def test_parse_ints_equals_int(texts):
-    try:
-        want = [int(t) for t in texts]
-        if any(not -(2**63) <= v < 2**63 for v in want):
-            want = None
-    except ValueError:
-        want = None
-    got = parse_ints(_column(texts), 1)
-    assert (got is None) if want is None else (got.tolist() == want)
+    want, want_bad = _python_numbers(texts, _int64, np.int64)
+    got, bad = parse_ints(_column(texts), 1)
+    # the mask is exactly the fields int() rejects or int64 cannot hold
+    assert bad.tolist() == want_bad
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 def test_parse_floats_fast_form_at_its_limits():
     texts = ["999999999.999999", "-999999999.999999", "0.000001", "1000000000.000000",
              "9007199254.740993", "0.0000005", "123456789012.345678"]
-    got = parse_floats(_column(texts), 1)
+    got, bad = parse_floats(_column(texts), 1)
     assert got.tolist() == [float(t) for t in texts]
+    assert not bad.any()
 
 
 def test_space_leads_are_the_utf8_starts_of_python_whitespace():
@@ -353,11 +363,35 @@ def test_space_leads_are_the_utf8_starts_of_python_whitespace():
     assert leads == set(lines_module._SPACE_LEADS)
 
 
+def _split(fields):
+    """The texts of a :class:`Fields`' rows, with their line numbers."""
+    return [
+        (number, [fields.text(i, k) for k in range(fields.starts.shape[1])])
+        for i, number in enumerate(fields.numbers)
+    ]
+
+
 def test_split_fields_marks_skipped_lines():
     chunk = "a\tb\n# c\td\n\n \t \n\u3000\nétoile\tf\n# last".encode("utf-8")
-    fields = split_fields(chunk, 2, lambda line: line.startswith("#") or line.isspace())
-    assert fields.skipped == ["# c\td\n", "\n", " \t \n", "\u3000\n", "# last\n"]
-    assert [fields.text(i, k) for i in range(2) for k in range(2)] == ["a", "b", "étoile", "f"]
+    fields = split_fields(chunk, 2, lambda line: line.startswith("#") or line.isspace(), 10)
+    assert fields.skipped == [
+        (11, "# c\td\n"), (12, "\n"), (13, " \t \n"), (14, "\u3000\n"), (16, "# last\n")
+    ]
+    assert _split(fields) == [(10, ["a", "b"]), (15, ["étoile", "f"])]
+    assert fields.misfit is None and fields.next_line == 17
+
+
+def _text_mode_split(chunk, count, first):
+    """The numbered fields of the data lines of ``chunk`` as text mode
+    reads them, up to the first line without ``count`` fields, and that
+    line's ``(number, field count)``."""
+    rows = []
+    for number, line in enumerate(text_lines(chunk), start=first):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != count:
+            return rows, (number, len(fields))
+        rows.append((number, fields))
+    return rows, None
 
 
 @pytest.mark.parametrize(
@@ -366,7 +400,28 @@ def test_split_fields_marks_skipped_lines():
      b"a\tb\nc\n", "é\t".encode("utf-8")[:1] + b"\tb\n"],
 )
 def test_split_fields_leaves_what_it_cannot_prove_to_python(chunk):
-    assert split_fields(chunk, 2, _never) is None
+    """Odd chunks split as text mode reads them: ``\\r`` as universal
+    newlines, NUL kept, bytes that are not UTF-8 rejected, and a line
+    without the fields asked for reported with its number and field
+    count."""
+    try:
+        want_rows, want_misfit = _text_mode_split(chunk, 2, 7)
+    except UnicodeDecodeError:
+        with pytest.raises(UnicodeDecodeError):
+            split_fields(chunk, 2, _never, 7)
+        return
+    fields = split_fields(chunk, 2, _never, 7)
+    assert _split(fields) == want_rows
+    assert fields.misfit == want_misfit
+    assert fields.next_line == 7 + len(text_lines(chunk))
+
+
+def test_split_fields_reports_the_first_misfit_after_skipped_lines():
+    chunk = b"# c\na\tb\n\nc\td\te\nf\n"
+    fields = split_fields(chunk, 2, lambda line: line.startswith("#") or line.isspace(), 1)
+    assert _split(fields) == [(2, ["a", "b"])]
+    assert fields.misfit == (4, 3)
+    assert [number for number, _ in fields.skipped] == [1, 3]
 
 
 @pytest.mark.parametrize("size", [1, 5, 64, 1 << 20])
@@ -401,3 +456,10 @@ def test_label_index_finds_what_a_dict_finds(labels, others):
         short = len(query.encode("utf-8")) <= 64
         # labels over 64 bytes are left to the caller
         assert got == (want if short else -1), query
+
+
+def test_label_index_leaves_fields_holding_nul_to_python():
+    # zero padding would make "q\0" and "q" one key, and "\0" the empty one
+    index = LabelIndex(["q", "q\0", "\0", "ab"])
+    fields = _column(["q", "q\0", "q\0x", "\0", "", "ab", "\0ab"])
+    assert index.find(fields, 1).tolist() == [0, -1, -1, -1, -1, 3, -1]

@@ -1,12 +1,14 @@
 """What the score-dump reader and the graph loader accept and reject.
 
-Both read files a byte chunk at a time and parse in bulk only what they
-can prove reads as Python's text mode, ``float()``, ``int()`` and the
-label lookups read it; everything else goes through the per-line
-parsers.  These tests pin the accepted input and the faults, against a
-per-line reference loader kept here and against the writers.
+Both read every chunk of a file in bulk, odd input included (CRLF line
+ends, NUL bytes, labels over 64 bytes, non-ASCII labels), and number the
+lines to name a fault.  These tests pin the accepted input and the
+faults against per-line reference loaders kept here, which read as
+Python's text mode, ``float()``, ``int()`` and the label lookups do, and
+against the writers.
 """
 
+import importlib
 import io
 import math
 
@@ -28,6 +30,9 @@ from clicksim.graph import (
 )
 from clicksim.simrank import SimilarityScores, simrank
 from clicksim.weighted import weighted_simrank
+
+# the package exports a function of the same name
+simrank_module = importlib.import_module("clicksim.simrank")
 
 
 # -- references: the per-line loader and table build the bulk ones replaced --
@@ -289,6 +294,59 @@ def test_both_readers_keep_a_byte_order_mark_in_the_first_label(tmp_path, demo):
         SimilarityScores.read(path, demo)
 
 
+# -- odd labels and line ends: every chunk read as the references read it ----
+
+ODD_QUERIES = ["q", "q\0", "q\0x", "\0", "long query " * 7, "café crème", "日本 旅行"]
+ODD_ADS = ["a", "a\0", "\0", "long-ad-" * 9, "shop-é", "旅行社.jp"]
+
+
+@pytest.fixture(scope="module")
+def odd_graph():
+    records = [
+        (query, ODD_ADS[(i + step) % len(ODD_ADS)], 10, 1 + step, 0.25 * (1 + step))
+        for i, query in enumerate(ODD_QUERIES)
+        for step in (0, 1)
+    ]
+    return ClickGraph.from_records(records)
+
+
+def _with_newline(path, newline):
+    """Rewrite the LF file at ``path`` with ``newline`` line ends."""
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode("ascii")))
+
+
+@pytest.mark.parametrize("chunk", [None, 64, 200])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_graph_loader_reads_odd_labels_as_the_reference(
+    tmp_path, monkeypatch, odd_graph, newline, chunk
+):
+    if chunk is not None:
+        monkeypatch.setattr(graph_module, "_READ_CHUNK_BYTES", chunk)
+    path = tmp_path / "graph.tsv"
+    save_graph(odd_graph, path)
+    _with_newline(path, newline)
+    graph = load_graph(path)
+    assert_same_graph(graph, reference_load(path))
+    assert_same_graph(graph, odd_graph)
+    assert {"q", "q\0", "q\0x", "\0"} <= set(graph.query_labels)
+
+
+@pytest.mark.parametrize("chunk", [None, 64, 200])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_dump_reader_reads_odd_labels_as_the_reference(
+    tmp_path, monkeypatch, odd_graph, newline, chunk
+):
+    if chunk is not None:
+        monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", chunk)
+    table = simrank(odd_graph)
+    path = tmp_path / "scores.tsv"
+    table.write(path)
+    _with_newline(path, newline)
+    got = SimilarityScores.read(path, odd_graph).matrix
+    assert_same_arrays(got, reference_table(path, odd_graph))
+    assert got.nnz == table.matrix.nnz
+
+
 # -- graph faults: the same message and line as the per-line loader ----------
 
 
@@ -401,6 +459,78 @@ def test_graph_loader_takes_an_empty_file(tmp_path):
     assert_same_graph(load_graph(path), reference_load(path))
     save_graph(demo_graph(), path)
     assert_same_graph(load_graph(path), demo_graph())
+
+
+# -- a fault in a CRLF or NUL chunk after regular chunks ------------------------
+
+# what makes the chunk holding line ``at`` odd: a CRLF line end or a NUL
+# byte, on the line before it
+ODD_CHUNKS = {
+    "crlf": lambda lines, at: lines[at - 2] + "\r",
+    "nul": lambda lines, at: _with(lines[at - 2], query=_fields(lines[at - 2])[0] + "\0"),
+}
+
+
+@pytest.mark.parametrize("chunk", [64, 200])
+@pytest.mark.parametrize("at", [120, 170])
+@pytest.mark.parametrize("odd", sorted(ODD_CHUNKS))
+@pytest.mark.parametrize(
+    "kind", ["four fields", "non-numeric count", "duplicate edge", "rate above one"]
+)
+def test_graph_fault_in_an_odd_chunk_is_named_at_its_line(
+    tmp_path, monkeypatch, graph_lines, kind, odd, at, chunk
+):
+    monkeypatch.setattr(graph_module, "_READ_CHUNK_BYTES", chunk)
+    lines = list(graph_lines)
+    lines[at - 2] = ODD_CHUNKS[odd](lines, at)
+    lines[at - 1] = GRAPH_FAULTS[kind](lines, at)
+    path = tmp_path / "graph.tsv"
+    _write(path, lines)
+    with pytest.raises(GraphFormatError) as want:
+        reference_load(path)
+    assert str(want.value).startswith(f"line {at}: ")
+    with pytest.raises(GraphFormatError) as got:
+        load_graph(path)
+    assert str(got.value) == str(want.value)
+
+
+# each corruption of dump line ``at`` and the fault it must report;
+# ``lines[1]`` is the pair the duplicate repeats, in swapped order
+DUMP_FAULTS = {
+    "field count": (lambda line, lines: line.rsplit("\t", 1)[0], "expected 3 tab-separated fields"),
+    "unknown label": (lambda line, lines: "no such query\t" + line.split("\t", 1)[1],
+                      "unknown query label: 'no such query'"),
+    "score not a number": (lambda line, lines: line.rsplit("\t", 1)[0] + "\tn/a",
+                           "score is not a number"),
+    "duplicate": (lambda line, lines: "{1}\t{0}\t{2}".format(*lines[1].split("\t")),
+                  "pair listed twice"),
+    "out of range": (lambda line, lines: line.rsplit("\t", 1)[0] + "\t1.000001",
+                     r"score outside \[0, 1\] for method=simple"),
+}
+# what makes the chunk holding dump line ``at`` odd, on the line before it
+ODD_DUMP_CHUNKS = {
+    "crlf": lambda lines, at: lines[at - 2] + "\r",
+    "nul": lambda lines, at: "# a comment holding \0",
+}
+
+
+@pytest.mark.parametrize("chunk", [64, 200])
+@pytest.mark.parametrize("at", [30, 55])
+@pytest.mark.parametrize("odd", sorted(ODD_DUMP_CHUNKS))
+@pytest.mark.parametrize("kind", sorted(DUMP_FAULTS))
+def test_dump_fault_in_an_odd_chunk_is_named_at_its_line(
+    tmp_path, monkeypatch, graph_lines, kind, odd, at, chunk
+):
+    monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", chunk)
+    graph = ClickGraph.from_records([_record(line) for line in graph_lines])
+    lines = _dump_lines(graph)[:60]
+    lines[at - 2] = ODD_DUMP_CHUNKS[odd](lines, at)
+    corrupt, message = DUMP_FAULTS[kind]
+    lines[at - 1] = corrupt(lines[at - 1], lines)
+    path = tmp_path / "scores.tsv"
+    _write(path, lines)
+    with pytest.raises(ValueError, match=f"scores.tsv:{at}: {message}$"):
+        SimilarityScores.read(path, graph)
 
 
 # -- from_records faults: the same message and record as the per-record loop --

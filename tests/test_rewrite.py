@@ -1,5 +1,7 @@
 """Rewrite normalization, ranking, filtering, coverage, and persistence."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from clicksim import rewrite
 from clicksim.baselines import common_ad_scores, pearson_scores
 from clicksim.evidence import EvidenceKind, apply_evidence
-from clicksim.graph import generate_synthetic, query_node
+from clicksim.graph import ClickGraph, generate_synthetic, query_node
 from clicksim.rewrite import (
     BidTermList,
     RewriteList,
@@ -419,6 +421,29 @@ def test_rewrite_file_round_trip(tmp_path, demo):
         assert [r for r, _ in got.rewrites] == [r for r, _ in lst.rewrites]
         for (_, a), (_, b) in zip(got.rewrites, lst.rewrites):
             assert a == pytest.approx(b, abs=5e-7)
+
+
+def test_rewrite_writer_refuses_query_labels_read_back_as_comments(tmp_path):
+    # '#promo' is a query the graph takes and the ranking serves, but
+    # its lines would read back as comments and vanish
+    graph = ClickGraph.from_records(
+        [(q, "ad", 1, 1, 1.0) for q in ("sale", "#promo", "deals")]
+    )
+    scores = simrank(graph, SimRankParams(max_iterations=2))
+    lists = [top_rewrites(scores, query) for query in graph.queries()]
+    assert [lst.query for lst in lists if lst.rewrites] == ["sale", "#promo", "deals"]
+    path = tmp_path / "rewrites.tsv"
+    with pytest.raises(ValueError, match="'#promo' starts with '#'"):
+        write_rewrites(lists, path)
+    assert not path.exists()
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="'#promo'"):
+        write_rewrites(iter(lists), out)
+    assert out.getvalue() == ""
+    # a '#' on a rewrite, or on a query without rewrites, writes no comment
+    fine = [RewriteList("sale", (("#promo", 0.5),)), RewriteList("#promo", ())]
+    write_rewrites(fine, path)
+    assert read_rewrites(path) == fine[:1]
 
 
 def test_read_rewrites_rejects_malformed(tmp_path):
