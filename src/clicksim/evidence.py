@@ -70,12 +70,10 @@ def apply_evidence(
     Pairs with no common neighbor have zero evidence and therefore end
     up with score 0 no matter how similar the iteration found them.
     """
-    scaled = scores.multiply(_evidence_matrix(graph, kind)).tocoo()
-    keep = (scaled.data >= threshold) & (scaled.data > 0.0)
-    return sparse.csr_matrix(
-        (scaled.data[keep], (scaled.row[keep], scaled.col[keep])),
-        shape=scores.shape,
-    )
+    scaled = scores.multiply(_evidence_matrix(graph, kind)).tocsr()
+    scaled.data[scaled.data < threshold] = 0.0
+    scaled.eliminate_zeros()
+    return scaled
 
 
 def evidence_simrank(

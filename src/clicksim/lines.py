@@ -23,7 +23,7 @@ spliced the same way.
 
 The read side mirrors this.  :func:`scan` reads a file through
 :func:`byte_chunks`, which cuts it into byte chunks that end at a
-newline; :func:`split_fields` numbers a chunk's lines and finds the
+line end; :func:`split_fields` numbers a chunk's lines and finds the
 tab-separated fields of its data lines; :func:`parse_floats` and
 :func:`parse_ints` parse a column of numbers and :class:`LabelIndex`
 looks up a column of labels.  Each works on whole columns and gives what
@@ -237,16 +237,25 @@ def _right_aligned(block, first, spliced_rows, spliced) -> _Slot:
 
 
 def byte_chunks(path: str | Path, size: int) -> Iterator[bytes]:
-    """The bytes of a file, ``size`` bytes and the rest of their last line
-    at a time; every chunk but the last ends in a newline.
+    """The bytes of a file, about ``size`` bytes at a time, each chunk but
+    the last cut after its last line end.
 
-    A newline never splits a UTF-8 character or a ``\\r\\n`` pair, so a
-    chunk decodes and splits into lines on its own, as the whole file
-    would there.
+    A line ends after a ``\\n``, or after a ``\\r`` that is followed by
+    another byte than ``\\n``.  A cut there never splits a UTF-8
+    character or a ``\\r\\n`` pair, so a chunk decodes and splits into
+    lines on its own, as the whole file would there.
     """
     with open(path, "rb") as fh:
-        while block := fh.read(size):
-            yield block + fh.readline()
+        rest = b""
+        # reading at least as much as is carried keeps a long line linear
+        while block := fh.read(max(size, len(rest))):
+            block = rest + block
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+            rest = block[cut:]
+            if cut:
+                yield block[:cut]
+        if rest:
+            yield rest
 
 
 def text_lines(chunk: bytes) -> list[str]:
@@ -491,7 +500,7 @@ def label_keys(fields: Fields, column: int, width: int) -> tuple[np.ndarray, np.
     for k in range(width // 8):
         keys[:, k] = words[starts + 8 * k] & _PREFIX_MASKS[np.clip(lengths - 8 * k, 0, 8)]
     irregular = lengths > width
-    if fields.nuls.size:
+    if fields.nuls.size and starts.size:
         # the last field starting at or before each NUL, if it reaches it
         row = np.searchsorted(starts, fields.nuls, side="right") - 1
         inside = (row >= 0) & (fields.nuls < ends[np.maximum(row, 0)])

@@ -136,14 +136,6 @@ class SimilarityScores:
     def pair_count(self) -> int:
         return self.matrix.nnz // 2
 
-    def row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor indices and scores for one query, unsorted.
-
-        Both are views into ``matrix``; callers must not write to them.
-        """
-        lo, hi = self.matrix.indptr[index], self.matrix.indptr[index + 1]
-        return self.matrix.indices[lo:hi], self.matrix.data[lo:hi]
-
     # -- dump format -------------------------------------------------------
 
     def write(self, destination) -> None:
@@ -361,7 +353,6 @@ def _blocked_product(
     right: sparse.csr_matrix,
     threads: int,
     scale: float,
-    prune_below: float,
 ) -> sparse.csr_matrix:
     """``scale * left @ middle @ right`` in fixed-size row blocks.
 
@@ -369,14 +360,8 @@ def _blocked_product(
     input row alone, so computing row blocks independently and stacking
     them reproduces the one-shot result bit for bit; block boundaries
     are fixed by row count, never by ``threads``, which therefore cannot
-    change the output.
-
-    Blocking exists for memory, not speed: the unpruned product can dwarf
-    what survives the score threshold, so each block is pruned at
-    ``prune_below`` before the next one is formed.  Callers pass a margin
-    of at most half the real threshold; entries that straddle it are
-    lost from one triangle at most, and such entries average to below the
-    real threshold anyway, so the final pruned result is unaffected.
+    change the output.  The blocks are the unit the ``threads`` share.
+    Nothing is pruned: :func:`_cleanup` needs every nonzero entry.
     """
     rows = left.shape[0]
     spans = [
@@ -388,9 +373,6 @@ def _blocked_product(
         part = ((left[lo:hi] @ middle) @ right).tocsr()
         if scale != 1.0:
             part.data *= scale
-        if prune_below > 0.0 and part.nnz:
-            part.data[part.data < prune_below] = 0.0
-            part.eliminate_zeros()
         return part
 
     if threads <= 1 or len(spans) == 1:
@@ -406,48 +388,40 @@ def _blocked_product(
 def _cleanup(mat: sparse.csr_matrix, threshold: float) -> sparse.csr_matrix:
     """Symmetrize, drop the diagonal and prune scores below threshold.
 
-    The two triangles are averaged block by block so the full doubled
-    matrix never has to exist at once; halving and doubling are exact in
-    binary floating point, so filtering the unscaled sums against twice
-    the threshold keeps exactly the entries a global pass would keep.
+    ``mat`` is the product ``T (S + I) T^T`` of :func:`_blocked_product`.
+    The iterate ``S`` this function returns is exactly symmetric (``a + b
+    == b + a`` bit for bit) and every term of the product is non-negative,
+    so in exact arithmetic entry ``(i, j)`` sums to zero, which the sparse
+    product drops, exactly when ``(j, i)`` does, and ``M[i,j] + M[j,i]`` is
+    one in-place add of two data arrays.  In floating point the triangles
+    form each term in a different order, and near the subnormal range one
+    order can round to zero where the other does not (``(s * 0.6) * 0.8``
+    is ``s`` but ``(0.8 * 0.6) * s`` is 0 for the least subnormal ``s``);
+    such a product takes the sparse add.  Halving and doubling are exact
+    in binary floating point, so filtering the sums against twice the
+    threshold keeps what averaging first would.
 
-    Products come out with unsorted rows.  Converting to the transpose
-    and back sorts them in linear time (it is a counting sort, cheaper
-    than sorting each row); with sorted rows each block sum is canonical,
-    so the kept entries are already in CSR order and the result is
-    assembled straight from them.  Without the second transpose the
-    stored order changes: ``test_chain_matches_two_sided_iteration_on_demo``
-    and ``test_chain_matches_two_sided_iteration_across_blocks`` in
-    ``tests/test_simrank.py`` then fail on the indices, although the
-    6-decimal golden outputs do not change.
+    Products come out with unsorted rows; converting to the transpose and
+    back sorts them in linear time (a counting sort).  Only sorted do the
+    two structures compare equal: without the second transpose every step
+    takes the sparse add, whose stored order the chain tests reject.
     """
-    shape = mat.shape
     transpose = mat.T.tocsr()
+    del mat  # the unsorted product, before the second transpose is built
     mat = transpose.T.tocsr()
-    data_kept, indices_kept, counts = [], [], []
-    for lo in range(0, shape[0], _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, shape[0])
-        part = mat[lo:hi] + transpose[lo:hi]
-        row = np.repeat(np.arange(hi - lo), np.diff(part.indptr))
-        keep = (
-            (row + lo != part.indices)
-            & (part.data >= 2.0 * threshold)
-            & (part.data > 0.0)
-        )
-        data_kept.append(part.data[keep] * 0.5)
-        indices_kept.append(part.indices[keep])
-        counts.append(np.bincount(row[keep], minlength=hi - lo))
-    del mat, transpose
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return sparse.csr_matrix(
-        (
-            np.minimum(np.concatenate(data_kept), 1.0),
-            np.concatenate(indices_kept),
-            indptr,
-        ),
-        shape=shape,
-    )
+    same = np.array_equal(mat.indptr, transpose.indptr)
+    if same and np.array_equal(mat.indices, transpose.indices):
+        mat.data += transpose.data
+    else:
+        mat = mat + transpose
+    del transpose
+    row = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    mat.data[(row == mat.indices) | (mat.data < 2.0 * threshold)] = 0.0
+    del row
+    mat.eliminate_zeros()
+    mat.data *= 0.5
+    np.minimum(mat.data, 1.0, out=mat.data)
+    return mat
 
 
 def _max_abs_diff(a: sparse.csr_matrix, b: sparse.csr_matrix) -> float:
@@ -477,7 +451,6 @@ def _iterate(
     query_step = (trans_q, trans_q.T.tocsr(), params.c1)
     ad_step = (trans_a, trans_a.T.tocsr(), params.c2)
     track = params.convergence_epsilon > 0.0
-    margin = params.min_score_threshold * 0.5
 
     # ``current`` is the previous step's iterate (the other side's zero
     # start before step 1); ``older`` the same side's iterate two steps
@@ -492,7 +465,7 @@ def _iterate(
         trans, trans_t, decay = query_step if on_query else ad_step
         eye = sparse.identity(current.shape[0], format="csr")
         new = _cleanup(
-            _blocked_product(trans, current + eye, trans_t, threads, decay, margin),
+            _blocked_product(trans, current + eye, trans_t, threads, decay),
             params.min_score_threshold,
         )
         converged = (

@@ -437,6 +437,23 @@ def test_byte_chunks_end_at_newlines_and_rebuild_the_file(tmp_path, size):
         assert [line for c in chunks for line in text_lines(c)] == list(fh)
 
 
+@pytest.mark.parametrize("size", [1, 2, 5, 64])
+def test_byte_chunks_end_at_lone_carriage_returns_too(tmp_path, size):
+    ends = [b"\r"] * 8 + [b"\r\n", b"\n"]
+    data = b"".join(b"line %d" % i + ends[i % len(ends)] for i in range(200)) + b"\r"
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    chunks = list(byte_chunks(path, size))
+    # a chunk holds at most ``size`` bytes and the rest of a line of at most 10
+    assert len(chunks) >= len(data) / (size + 10)
+    assert b"".join(chunks) == data
+    # no chunk ends inside a \r\n pair, nor between a line end and its line
+    assert all(c.endswith((b"\r", b"\n")) for c in chunks)
+    assert not any(c.endswith(b"\r") and n.startswith(b"\n") for c, n in zip(chunks, chunks[1:]))
+    with open(path, encoding="utf-8") as fh:
+        assert [line for c in chunks for line in text_lines(c)] == list(fh)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.text(min_size=0, max_size=80).filter(lambda t: "\t" not in t and "\n" not in t

@@ -28,6 +28,7 @@ from clicksim.graph import (
     load_graph,
     save_graph,
 )
+from clicksim.lines import byte_chunks
 from clicksim.simrank import SimilarityScores, simrank
 from clicksim.weighted import weighted_simrank
 
@@ -294,6 +295,18 @@ def test_both_readers_keep_a_byte_order_mark_in_the_first_label(tmp_path, demo):
         SimilarityScores.read(path, demo)
 
 
+def test_both_readers_name_a_misfit_first_data_line_after_a_nul_comment(tmp_path, demo):
+    # the chunk holds a NUL byte but no data row to look it up in
+    path = tmp_path / "scores.tsv"
+    path.write_bytes(b"# a comment holding \0\npc\tcamera\n")
+    with pytest.raises(ValueError, match="scores.tsv:2: expected 3 tab-separated fields"):
+        SimilarityScores.read(path, demo)
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(b"# a comment holding \0\nq\ta\t1\n")
+    with pytest.raises(GraphFormatError, match="^line 2: expected 5 tab-separated fields"):
+        load_graph(path)
+
+
 # -- odd labels and line ends: every chunk read as the references read it ----
 
 ODD_QUERIES = ["q", "q\0", "q\0x", "\0", "long query " * 7, "café crème", "日本 旅行"]
@@ -345,6 +358,25 @@ def test_dump_reader_reads_odd_labels_as_the_reference(
     got = SimilarityScores.read(path, odd_graph).matrix
     assert_same_arrays(got, reference_table(path, odd_graph))
     assert got.nnz == table.matrix.nnz
+
+
+@pytest.mark.parametrize("kind", ["graph", "dump"])
+def test_lone_carriage_return_file_reads_in_chunks_as_its_lf_copy(tmp_path, monkeypatch, kind):
+    graph = generate_synthetic(60, 60, 180, seed=3)
+    lf, cr = tmp_path / "lf.tsv", tmp_path / "cr.tsv"
+    if kind == "graph":
+        save_graph(graph, lf)
+        monkeypatch.setattr(graph_module, "_READ_CHUNK_BYTES", 200)
+    else:
+        simrank(graph).write(lf)
+        monkeypatch.setattr(simrank_module, "_READ_CHUNK_BYTES", 200)
+    cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+    assert len(list(byte_chunks(cr, 200))) > 10
+    if kind == "graph":
+        assert_same_graph(load_graph(cr), load_graph(lf))
+    else:
+        want = SimilarityScores.read(lf, graph).matrix
+        assert_same_arrays(SimilarityScores.read(cr, graph).matrix, want)
 
 
 # -- graph faults: the same message and line as the per-line loader ----------

@@ -25,6 +25,7 @@ from clicksim.simrank import (
     SimilarityScores,
     SimRankParams,
     _blocked_product,
+    _cleanup,
     _transition_matrices,
     simrank,
 )
@@ -256,6 +257,19 @@ def _row_normalized(adjacency):
     return out
 
 
+def _margin_pruned(product, threshold):
+    """``product`` without its entries below half the threshold.
+
+    The engine once pruned each block of its products so; the reference
+    keeps doing it, so the chain tests also pin that leaving the product
+    unpruned changes no bit.
+    """
+    if threshold > 0.0 and product.nnz:
+        product.data[product.data < threshold * 0.5] = 0.0
+        product.eliminate_zeros()
+    return product
+
+
 def _two_sided_reference(trans_q, trans_a, params, threads=1):
     """Refresh both sides every round; the query iterate of each round."""
     nq, na = trans_q.shape
@@ -264,16 +278,20 @@ def _two_sided_reference(trans_q, trans_a, params, threads=1):
     eye_a = sparse.identity(na, format="csr")
     s_q = sparse.csr_matrix((nq, nq))
     s_a = sparse.csr_matrix((na, na))
-    margin = params.min_score_threshold * 0.5
+    threshold = params.min_score_threshold
     iterates = []
     for _ in range(params.max_iterations):
         new_q = _reference_cleanup(
-            _blocked_product(trans_q, s_a + eye_a, tq_t, threads, params.c1, margin),
-            params.min_score_threshold,
+            _margin_pruned(
+                _blocked_product(trans_q, s_a + eye_a, tq_t, threads, params.c1), threshold
+            ),
+            threshold,
         )
         new_a = _reference_cleanup(
-            _blocked_product(trans_a, s_q + eye_q, ta_t, threads, params.c2, margin),
-            params.min_score_threshold,
+            _margin_pruned(
+                _blocked_product(trans_a, s_q + eye_q, ta_t, threads, params.c2), threshold
+            ),
+            threshold,
         )
         s_q, s_a = new_q, new_a
         iterates.append(s_q)
@@ -286,8 +304,12 @@ def _assert_same_csr(got, want):
     assert np.array_equal(got.data, want.data)
 
 
-def _check_chain_against_reference(graph, max_k, threads=1):
-    params = SimRankParams(max_iterations=max_k, convergence_epsilon=0.0)
+def _check_chain_against_reference(
+    graph, max_k, threads=1, threshold=SimRankParams.min_score_threshold
+):
+    params = SimRankParams(
+        max_iterations=max_k, convergence_epsilon=0.0, min_score_threshold=threshold
+    )
     plain = _two_sided_reference(
         _row_normalized(graph.query_adjacency),
         _row_normalized(graph.ad_adjacency),
@@ -300,7 +322,9 @@ def _check_chain_against_reference(graph, max_k, threads=1):
         threads,
     )
     for k in range(1, max_k + 1):
-        fixed = SimRankParams(max_iterations=k, convergence_epsilon=0.0)
+        fixed = SimRankParams(
+            max_iterations=k, convergence_epsilon=0.0, min_score_threshold=threshold
+        )
         got = simrank(graph, fixed, threads=threads)
         assert got.iterations_run == k
         _assert_same_csr(got.matrix, plain[k - 1])
@@ -313,8 +337,75 @@ def _check_chain_against_reference(graph, max_k, threads=1):
         _assert_same_csr(got.matrix, want)
 
 
-def test_chain_matches_two_sided_iteration_on_demo(demo):
-    _check_chain_against_reference(demo, 6)
+@pytest.mark.parametrize("threshold", [SimRankParams.min_score_threshold, 0.0])
+def test_chain_matches_two_sided_iteration_on_demo(demo, threshold):
+    _check_chain_against_reference(demo, 6, threshold=threshold)
+
+
+@pytest.fixture(scope="module")
+def zero_rate_graph():
+    """Edges with a click rate of 0.0, each between nodes that keep a
+    clicked edge, so the weighted transitions hold explicit zeros."""
+    rows = [
+        ("q0", "a0", 0.3), ("q0", "a1", 0.0), ("q0", "a4", 0.0),
+        ("q1", "a0", 0.2), ("q1", "a1", 0.5), ("q1", "a2", 0.0),
+        ("q2", "a1", 0.4), ("q2", "a2", 0.1),
+        ("q3", "a2", 0.0), ("q3", "a3", 0.6),
+        ("q4", "a3", 0.2), ("q4", "a4", 0.3),
+        ("q5", "a0", 0.7), ("q5", "a4", 0.0),
+    ]
+    return ClickGraph.from_records((q, a, 100, int(r * 100), r) for q, a, r in rows)
+
+
+@pytest.mark.parametrize("threshold", [SimRankParams.min_score_threshold, 0.0])
+def test_chain_matches_two_sided_iteration_with_zero_rates(zero_rate_graph, threshold):
+    graph = zero_rate_graph
+    for trans in _transition_matrices(graph, graph.query_adjacency, graph.ad_adjacency):
+        assert (trans.data == 0.0).any()
+    _check_chain_against_reference(graph, 6, threshold=threshold)
+
+
+def _symmetric_pattern(product):
+    transpose = product.T.tocsr()
+    product = transpose.T.tocsr()
+    return np.array_equal(product.indptr, transpose.indptr) and np.array_equal(
+        product.indices, transpose.indices
+    )
+
+
+def test_chain_matches_two_sided_iteration_through_underflow(monkeypatch):
+    """A click rate of the smallest subnormal makes some product terms
+    round to zero in one triangle only, so a product's pattern is not
+    symmetric; the engine sums it as the sparse add does."""
+    rows = [
+        ("q0", "a0", 0.8), ("q0", "a2", 0.6), ("q0", "a3", 0.3),
+        ("q1", "a1", 0.8), ("q1", "a2", 5e-324),
+    ]
+    graph = ClickGraph.from_records((q, a, 100, 0, r) for q, a, r in rows)
+    patterns = []
+
+    def recorded(*args):
+        product = _blocked_product(*args)
+        patterns.append(_symmetric_pattern(product))
+        return product
+
+    monkeypatch.setattr(simrank_module, "_blocked_product", recorded)
+    weighted_simrank(graph, SimRankParams(max_iterations=3, convergence_epsilon=0.0))
+    assert patterns == [True, True, False]
+    monkeypatch.undo()
+    for threshold in (SimRankParams.min_score_threshold, 0.0):
+        _check_chain_against_reference(graph, 6, threshold=threshold)
+
+
+def test_cleanup_sums_a_product_whose_pattern_is_not_symmetric():
+    product = sparse.csr_matrix(
+        np.array([[0.5, 0.2, 0.0], [0.0, 0.5, 0.3], [1e-4, 0.3, 0.5]])
+    )
+    assert not _symmetric_pattern(product)
+    for threshold in (1e-4, 0.0):
+        _assert_same_csr(
+            _cleanup(product.copy(), threshold), _reference_cleanup(product, threshold)
+        )
 
 
 @pytest.fixture(scope="module")
